@@ -18,14 +18,11 @@
 // positional argument, or bench text on stdin — against the old report,
 // and exits non-zero when any benchmark's ns/op or B/op regressed by
 // more than 10%. Benchmarks present in only one report are skipped
-// with a warning, and any "delta-*" engine counters the instrumented
-// benchmarks report (delta-replays, delta-chans-reused,
-// delta-fallbacks) are tabulated after the timing table together with
-// the delta-replay hit rate. "search-*" units (search-evals,
-// search-coverage-pct from the heuristic-search benchmarks) are
-// tabulated the same way, with a one-sided warning — not a failure —
-// when a benchmark's coverage drops more than 2 points below the old
-// report. This is the CI regression gate behind `make bench-compare`.
+// with a warning. "search-*" units (search-evals, search-coverage-pct
+// from the heuristic-search benchmarks) are tabulated after the timing
+// table, with a one-sided warning — not a failure — when a benchmark's
+// coverage drops more than 2 points below the old report. This is the
+// CI regression gate behind `make bench-compare`.
 package main
 
 import (
@@ -168,8 +165,8 @@ func loadReport(path string) (map[string]Bench, error) {
 // benchmark's ns/op (wall time) or B/op (allocation growth) may grow
 // by more than regressionLimit. Benchmarks present in only one report
 // are skipped with a warning — they carry no before/after signal —
-// and any delta-replay engine counters the instrumented benchmarks
-// report are printed after the timing table.
+// and any heuristic-search metrics the instrumented benchmarks report
+// are printed after the timing table.
 func printDeltas(w io.Writer, old, cur map[string]Bench) bool {
 	names := make([]string, 0, len(cur))
 	for name := range cur {
@@ -216,7 +213,6 @@ func printDeltas(w io.Writer, old, cur map[string]Bench) bool {
 			name, o["ns/op"], c["ns/op"],
 			pct(dNS), pct(dB), pct(delta(o["allocs/op"], c["allocs/op"])), flag)
 	}
-	printDeltaMetrics(w, old, cur, names)
 	printSearchMetrics(w, old, cur, names)
 	if !pass {
 		fmt.Fprintf(w, "FAIL: ns/op or B/op regression above %.0f%%\n", regressionLimit*100)
@@ -232,46 +228,6 @@ func sortedNames(m map[string]Bench) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// printDeltaMetrics prints the engine delta-replay counters — the
-// "delta-*" units the instrumented benchmarks surface from the
-// engine/delta/* metrics — side by side for every common benchmark
-// that reports any, plus the delta hit rate, replays ÷ (replays +
-// fallbacks). A timing win should come with a high hit rate; a low
-// one means the planner is mostly falling back to full replays.
-func printDeltaMetrics(w io.Writer, old, cur map[string]Bench, names []string) {
-	header := false
-	for _, name := range names {
-		o, c := old[name].Metrics, cur[name].Metrics
-		units := map[string]bool{}
-		for u := range o {
-			if strings.HasPrefix(u, "delta-") {
-				units[u] = true
-			}
-		}
-		for u := range c {
-			if strings.HasPrefix(u, "delta-") {
-				units[u] = true
-			}
-		}
-		if len(units) == 0 {
-			continue
-		}
-		if !header {
-			header = true
-			fmt.Fprintf(w, "\n%-34s %-24s %14s %14s\n", "benchmark", "delta metric", "old", "new")
-		}
-		sorted := make([]string, 0, len(units))
-		for u := range units {
-			sorted = append(sorted, u)
-		}
-		sort.Strings(sorted)
-		for _, u := range sorted {
-			fmt.Fprintf(w, "%-34s %-24s %14s %14s\n", name, u, metricVal(o, u), metricVal(c, u))
-		}
-		fmt.Fprintf(w, "%-34s %-24s %14s %14s\n", name, "delta hit rate", hitRate(o), hitRate(c))
-	}
 }
 
 // coverageDropLimit is the search-coverage loss (percentage points vs
@@ -336,21 +292,6 @@ func metricVal(m map[string]float64, unit string) string {
 		return "-"
 	}
 	return strconv.FormatFloat(v, 'f', -1, 64)
-}
-
-// hitRate formats the delta-replay hit rate of one benchmark's
-// metrics, "-" when it recorded no delta activity at all.
-func hitRate(m map[string]float64) string {
-	replays, okR := m["delta-replays"]
-	fallbacks, okF := m["delta-fallbacks"]
-	if !okR && !okF {
-		return "-"
-	}
-	total := replays + fallbacks
-	if total <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.1f%%", replays/total*100)
 }
 
 // delta returns the percentage change from before to after, NaN when

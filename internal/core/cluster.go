@@ -114,15 +114,6 @@ func FeasibleComponents(lib []connect.Component, ports int, offChip bool) []conn
 // components. If the product exceeds limit, the index space is sampled
 // at a uniform stride so that diverse assignments are still covered
 // (a bounded-enumeration heuristic; the dropped count is returned).
-//
-// Indices are decoded through a reflected mixed-radix Gray code, so
-// consecutive architectures differ in exactly one cluster's component.
-// The decoded set is identical to the plain cross product (the Gray map
-// is a bijection on the index space); only the order changes. That
-// ordering is what gives the engine's delta-replay planner its
-// locality: adjacent candidates in an enumeration batch are at timing
-// distance one cluster, so almost every non-leader evaluation can
-// splice the unchanged channels from a near neighbor.
 func EnumerateAssignments(b *BRG, c Clustering, lib []connect.Component, limit int) (archs []*connect.Arch, dropped int64) {
 	cands := make([][]connect.Component, len(c))
 	total := int64(1)
@@ -142,7 +133,6 @@ func EnumerateAssignments(b *BRG, c Clustering, lib []connect.Component, limit i
 		stride = total / take
 		dropped = total - take
 	}
-	digits := make([]int64, len(cands))
 	for k := int64(0); k < take; k++ {
 		idx := k * stride
 		arch := &connect.Arch{
@@ -150,23 +140,11 @@ func EnumerateAssignments(b *BRG, c Clustering, lib []connect.Component, limit i
 			Clusters: c.clone(),
 			Assign:   make([]connect.Component, len(c)),
 		}
-		// Reflected mixed-radix Gray decode: extract the plain digits
-		// LSB-first, then walk MSB-down reflecting each digit when the
-		// sum of the original more-significant digits is odd. Adjacent
-		// indices then differ in exactly one digit by one step.
 		rem := idx
 		for i := range cands {
-			digits[i] = rem % int64(len(cands[i]))
-			rem /= int64(len(cands[i]))
-		}
-		parity := int64(0)
-		for i := len(cands) - 1; i >= 0; i-- {
-			d := digits[i]
-			if parity%2 == 1 {
-				d = int64(len(cands[i])) - 1 - d
-			}
-			parity += digits[i]
-			arch.Assign[i] = cands[i][d]
+			n := int64(len(cands[i]))
+			arch.Assign[i] = cands[i][rem%n]
+			rem /= n
 		}
 		archs = append(archs, arch)
 	}

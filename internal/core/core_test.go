@@ -456,6 +456,43 @@ func TestEnumerateAssignmentsStrideDiversity(t *testing.T) {
 	}
 }
 
+// TestEnumerateAssignmentsCappedDecode: below the cross product, a
+// capped enumeration returns exactly the plain mixed-radix decode
+// (first cluster least significant) of index k*stride for k < limit.
+func TestEnumerateAssignmentsCappedDecode(t *testing.T) {
+	brg, err := BuildBRG(smallTrace(), testArch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := connect.Library()
+	c := InitialClustering(brg)
+	cands := make([][]connect.Component, len(c))
+	total := int64(1)
+	for i, cl := range c {
+		cands[i] = FeasibleComponents(lib, len(cl)+1, brg.Channels[cl[0]].OffChip)
+		total *= int64(len(cands[i]))
+	}
+	const limit = 10
+	if total <= limit {
+		t.Fatalf("cross product %d does not exceed the cap %d", total, limit)
+	}
+	stride := total / limit
+	archs, dropped := EnumerateAssignments(brg, c, lib, limit)
+	if len(archs) != limit || dropped != total-limit {
+		t.Fatalf("got %d archs, %d dropped; want %d and %d", len(archs), dropped, limit, total-limit)
+	}
+	for k, a := range archs {
+		rem := int64(k) * stride
+		for i := range cands {
+			n := int64(len(cands[i]))
+			if got, want := a.Assign[i].Name, cands[i][rem%n].Name; got != want {
+				t.Errorf("arch %d cluster %d: component %s, want %s", k, i, got, want)
+			}
+			rem /= n
+		}
+	}
+}
+
 func TestFullSimulateMatchesEstimateRanking(t *testing.T) {
 	// For two designs whose estimated latencies differ widely, full
 	// simulation must preserve the order.

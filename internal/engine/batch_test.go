@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"memorex/internal/connect"
-	"memorex/internal/mem"
 	"memorex/internal/obs"
 )
 
@@ -102,15 +101,8 @@ func TestEvaluateBatchPath(t *testing.T) {
 	if st.BatchReplays == 0 {
 		t.Error("homogeneous batch ran no batched replays")
 	}
-	// On a two-channel single-module arch every candidate pair differs
-	// in half its channels, so the delta planner must keep the whole
-	// group on the batch path.
 	if st.BatchedEvals != int64(len(reqs)) {
 		t.Errorf("BatchedEvals = %d, want %d", st.BatchedEvals, len(reqs))
-	}
-	if st.DeltaReplays != 0 || st.DeltaFallbacks != 0 {
-		t.Errorf("half-changed candidates took the delta path (%d replays, %d fallbacks)",
-			st.DeltaReplays, st.DeltaFallbacks)
 	}
 	if st.BehaviorCaptures != 1 {
 		t.Errorf("BehaviorCaptures = %d, want 1 (one shared trace)", st.BehaviorCaptures)
@@ -131,111 +123,6 @@ func TestEvaluateBatchPath(t *testing.T) {
 	}
 	if st := e.Stats(); st.CacheHits != int64(len(reqs)) {
 		t.Errorf("CacheHits = %d, want %d", st.CacheHits, len(reqs))
-	}
-}
-
-// TestEvaluateDeltaPath: on a multi-module architecture, candidates
-// differing from a sibling in a single channel's component must ride
-// sim.ReplayDelta against the sibling's residue — bit-exact versus the
-// per-request path, with nonzero reuse surfaced through stats and the
-// engine/delta/* metrics.
-func TestEvaluateDeltaPath(t *testing.T) {
-	tr := testTrace(t)
-	a := &mem.Architecture{
-		Name:    "c2",
-		Modules: []mem.Module{mem.MustCache(4096, 32, 2), mem.MustCache(8192, 32, 2)},
-		DRAM:    mem.DefaultDRAM(),
-		Default: 0,
-	}
-	// Vary only the second module's CPU channel component: one of four
-	// channels changes, the rest (carrying all the traffic) splice.
-	target := -1
-	for i, ch := range a.Channels() {
-		if ch.Kind == mem.ChanCPUModule && ch.Module == 1 {
-			target = i
-		}
-	}
-	if target < 0 {
-		t.Fatal("no CPU channel for module 1")
-	}
-	lib := connect.Library()
-	var reqs []Request
-	for _, name := range []string{"ahb32", "ded32", "mux32", "apb32", "asb32", "ahb64"} {
-		comp, err := connect.ByName(lib, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn := testConn(t, a, "ahb32")
-		for cl := range conn.Clusters {
-			if len(conn.Clusters[cl]) == 1 && conn.Clusters[cl][0] == target {
-				conn.Assign[cl] = comp
-			}
-		}
-		reqs = append(reqs, sampled(tr, a, conn))
-	}
-
-	reg := obs.NewRegistry()
-	e := New(4, WithMetrics(reg))
-	got, err := e.Evaluate(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := New(1)
-	for i, r := range reqs {
-		want, err := ref.computeOne(context.Background(), r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i].Cost != want.Cost || got[i].Latency != want.Latency || got[i].Energy != want.Energy {
-			t.Errorf("req %d: delta-planned value %+v != per-request value %+v", i, got[i], want)
-		}
-	}
-
-	st := e.Stats()
-	if st.DeltaReplays == 0 {
-		t.Fatalf("no delta replays ran: %+v", st)
-	}
-	if st.DeltaFallbacks != 0 {
-		t.Errorf("DeltaFallbacks = %d, want 0 (all traffic splices)", st.DeltaFallbacks)
-	}
-	if st.DeltaChannelsReused == 0 {
-		t.Error("delta replays reused no channels")
-	}
-	if covered := st.BatchedEvals + st.DeltaReplays; covered != int64(len(reqs)) {
-		t.Errorf("batched %d + delta %d evals, want %d total", st.BatchedEvals, st.DeltaReplays, len(reqs))
-	}
-	if st.Simulations != int64(len(reqs)) {
-		t.Errorf("Simulations = %d, want %d (delta evals are simulations)", st.Simulations, len(reqs))
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["engine/delta/replays"] != st.DeltaReplays {
-		t.Errorf("engine/delta/replays = %d, want %d", snap.Counters["engine/delta/replays"], st.DeltaReplays)
-	}
-	if snap.Counters["engine/delta/channels_reused"] != st.DeltaChannelsReused {
-		t.Errorf("engine/delta/channels_reused = %d, want %d",
-			snap.Counters["engine/delta/channels_reused"], st.DeltaChannelsReused)
-	}
-	reuse := snap.Histograms["engine/delta/reuse_ratio"]
-	if reuse.Count != st.DeltaReplays || reuse.Max > 100 || reuse.Min < 0 {
-		t.Errorf("engine/delta/reuse_ratio = %+v, want %d observations in [0,100]", reuse, st.DeltaReplays)
-	}
-
-	// Deterministic planning: a fresh engine over the same requests
-	// produces identical values and identical delta stats.
-	e2 := New(1, WithMetrics(obs.NewRegistry()))
-	got2, err := e2.Evaluate(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != got2[i] {
-			t.Errorf("req %d: workers=4 value %+v != workers=1 value %+v", i, got[i], got2[i])
-		}
-	}
-	st2 := e2.Stats()
-	if st2.DeltaReplays != st.DeltaReplays || st2.DeltaChannelsReused != st.DeltaChannelsReused ||
-		st2.DeltaFallbacks != st.DeltaFallbacks {
-		t.Errorf("delta stats differ across worker counts: %+v vs %+v", st, st2)
 	}
 }
 
@@ -260,7 +147,7 @@ func TestEvaluateBatchDedup(t *testing.T) {
 	e := New(2, WithMetrics(reg))
 	reqs := []Request{
 		sampled(tr, a, lead),
-		sampled(tr, a, testConn(t, a, "mux32")), // second leader so the group batches
+		sampled(tr, a, testConn(t, a, "mux32")),
 		sampled(tr, a, follow),
 	}
 	got, err := e.Evaluate(context.Background(), reqs)
@@ -305,21 +192,30 @@ func TestEvaluateBatchDedup(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchSpill: a fingerprint group with a single candidate
-// must spill to the per-request path rather than pay batch setup.
+// TestEvaluateBatchSpill: a fingerprint group with a single leader is
+// served by a one-member batch, bit-exact against the per-request path.
 func TestEvaluateBatchSpill(t *testing.T) {
 	tr := testTrace(t)
 	a := testArch(4096)
+	r := sampled(tr, a, testConn(t, a, "ahb32"))
 	e := New(2)
-	if _, err := e.Evaluate(context.Background(), []Request{sampled(tr, a, testConn(t, a, "ahb32"))}); err != nil {
+	got, err := e.Evaluate(context.Background(), []Request{r})
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := e.Stats()
-	if st.BatchSpills != 1 {
-		t.Errorf("BatchSpills = %d, want 1", st.BatchSpills)
+	want, err := New(1).computeOne(context.Background(), r)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.BatchReplays != 0 {
-		t.Errorf("BatchReplays = %d, want 0", st.BatchReplays)
+	if got[0].Cost != want.Cost || got[0].Latency != want.Latency || got[0].Energy != want.Energy {
+		t.Errorf("one-member batch value %+v != per-request value %+v", got[0], want)
+	}
+	st := e.Stats()
+	if st.BatchReplays != 1 || st.BatchedEvals != 1 {
+		t.Errorf("BatchReplays = %d, BatchedEvals = %d, want 1 and 1", st.BatchReplays, st.BatchedEvals)
+	}
+	if st.Simulations != 1 {
+		t.Errorf("Simulations = %d, want 1", st.Simulations)
 	}
 }
 

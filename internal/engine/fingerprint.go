@@ -9,7 +9,6 @@ import (
 	"memorex/internal/connect"
 	"memorex/internal/mem"
 	"memorex/internal/sampling"
-	"memorex/internal/sim"
 	"memorex/internal/trace"
 )
 
@@ -217,22 +216,47 @@ func connFingerprint(c *connect.Arch) uint64 {
 }
 
 // timingSignature hashes only what the connectivity replay can see of
-// an architecture: per channel, the owning cluster's component timing
-// and energy parameters plus the cluster's sorted membership —
-// sim.ChannelSignatures, folded in channel-index order. Names, classes,
-// port bounds and gate counts are excluded — two architectures with
-// equal signatures replay to bit-identical latency and energy figures
-// and differ at most in gate cost, which is closed-form. The
-// per-channel distribution is itself the canonicalization (cluster
-// order and in-cluster channel order never reach the hash), and it is
-// what makes timing distance computable per channel for the delta-tree
-// planner: archs at signature distance d differ in exactly d channels'
-// timing.
+// an architecture: the canonicalized clustering partition and, per
+// cluster, the assigned component's timing and energy parameters
+// (width, arbitration, beat, pipelining, split transactions, energy
+// per byte). Names, classes, port bounds and gate counts are excluded
+// — two architectures with equal signatures replay to bit-identical
+// latency and energy figures and differ at most in gate cost, which is
+// closed-form. This is the dedup key of the engine's batch front-end.
 func timingSignature(c *connect.Arch) uint64 {
+	// Canonicalize: channel order within a cluster and cluster order in
+	// the partition don't affect replay timing, so sort both before
+	// hashing (on copies; the architecture is shared and immutable).
+	type cl struct {
+		chans []int
+		comp  connect.Component
+	}
+	cls := make([]cl, len(c.Clusters))
+	for i, chans := range c.Clusters {
+		sorted := append([]int(nil), chans...)
+		sort.Ints(sorted)
+		cls[i] = cl{chans: sorted, comp: c.Assign[i]}
+	}
+	sort.Slice(cls, func(i, j int) bool {
+		a, b := cls[i].chans, cls[j].chans
+		if len(a) == 0 || len(b) == 0 {
+			return len(a) < len(b)
+		}
+		return a[0] < b[0]
+	})
 	h := fnv.New64a()
 	writeU64(h, uint64(len(c.Channels)))
-	for _, sig := range sim.ChannelSignatures(c) {
-		writeU64(h, sig)
+	for _, cl := range cls {
+		writeU64(h, uint64(len(cl.chans)))
+		for _, ch := range cl.chans {
+			writeU64(h, uint64(ch))
+		}
+		writeU64(h, uint64(cl.comp.WidthBytes))
+		writeU64(h, uint64(cl.comp.ArbCycles))
+		writeU64(h, uint64(cl.comp.BeatCycles))
+		writeBool(h, cl.comp.Pipelined)
+		writeBool(h, cl.comp.Split)
+		writeF64(h, cl.comp.EnergyPerByte)
 	}
 	return h.Sum64()
 }

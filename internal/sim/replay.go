@@ -1,4 +1,11 @@
-// Phase B of the two-phase simulator: connectivity replay.
+// Phase B reference: the single-architecture connectivity replay.
+//
+// Production code replays through ReplayBatch (replay_batch.go), with a
+// one-member batch for a single candidate. Replay is kept only as the
+// straightforward reference that TestReplayBatchMatchesReplay holds
+// ReplayBatch to, bit for bit; it is the only bit-exact reference for
+// windowed captures, which the one-phase Simulator approximates only
+// within the sampling tolerance. No non-test code may call it.
 //
 // Replay consumes the event trace captured by CaptureBehavior and
 // re-times it against one connectivity architecture. The hot loop
@@ -25,8 +32,10 @@ import (
 
 // Replay re-times a captured behavior trace against the given
 // connectivity architecture and returns the accumulated result, exactly
-// shaped like Simulator.Run's. The behavior trace is read-only and may
-// be replayed concurrently by multiple goroutines.
+// shaped like Simulator.Run's. It is the test reference for
+// ReplayBatch; production callers use ReplayBatch instead. The behavior
+// trace is read-only and may be replayed concurrently by multiple
+// goroutines.
 func Replay(bt *BehaviorTrace, connArch *connect.Arch) (*Result, error) {
 	if err := checkReplayArch(bt, connArch); err != nil {
 		return nil, err

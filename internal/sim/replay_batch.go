@@ -1,11 +1,14 @@
 // Batched connectivity replay: one pass over the behavior event trace
 // re-times K connectivity architectures simultaneously.
 //
-// Replay (replay.go) is the reference implementation: one architecture,
-// one pass. When the exploration holds many candidates for the same
-// captured behavior — the common case, since ConEx enumerates hundreds
-// of connectivity mappings per memory architecture — walking the trace
-// once per candidate re-decodes identical event streams K times.
+// ReplayBatch is the one connectivity replayer of the production
+// paths; a single candidate is a one-member batch. Replay (replay.go)
+// is the test reference it is held to: one architecture, one pass, no
+// contention analysis. When the exploration holds many candidates for
+// the same captured behavior — the common case, since ConEx enumerates
+// hundreds of connectivity mappings per memory architecture — walking
+// the trace once per candidate re-decodes identical event streams K
+// times.
 // ReplayBatch decodes each event exactly once and applies it to every
 // architecture in an inner loop over dense struct-of-arrays state:
 // per-(arch,channel) component, cycle and energy tables live in flat
@@ -146,22 +149,6 @@ type batchReplayer struct {
 	fastIssues []int64               // trivially granted issues (uncontended clusters)
 	now        []int64
 	res        []Result
-
-	// Optional per-arch latency recording for residue capture
-	// (ReplayBatchResidue / ReplayDelta). rec == nil disables recording
-	// entirely; rec[a] == nil disables it for arch a. recOver[a] flags a
-	// latency that did not fit int32 (the residue is then discarded).
-	rec     [][]int32
-	recOver []bool
-}
-
-// recordLat appends one event latency to arch a's recording.
-func (b *batchReplayer) recordLat(a, lat int) {
-	if lat < 0 || int64(lat) > int64(maxInt32) {
-		b.recOver[a] = true
-		lat = 0
-	}
-	b.rec[a] = append(b.rec[a], int32(lat))
 }
 
 func newBatchReplayer(bt *BehaviorTrace, archs []*connect.Arch) *batchReplayer {
@@ -356,9 +343,6 @@ func (b *batchReplayer) run() {
 					// stay separate and ordered to match event().
 					ct := b.tabs[x]
 					lat := int64(ct.cyc[size]) + modLat
-					if b.rec != nil && b.rec[a] != nil {
-						b.recordLat(a, int(lat))
-					}
 					r := &b.res[a]
 					r.EnergyNJ += ct.en[size]
 					r.EnergyNJ += modEnergy
@@ -391,9 +375,6 @@ func (b *batchReplayer) run() {
 // reference replayer's run loop.
 func (b *batchReplayer) slowEvent(a, i int) {
 	lat := b.event(a, i)
-	if b.rec != nil && b.rec[a] != nil {
-		b.recordLat(a, lat)
-	}
 	r := &b.res[a]
 	r.Accesses++
 	r.TotalLatency += int64(lat)

@@ -53,9 +53,10 @@ func batchConns(t *testing.T, m *mem.Architecture) []*connect.Arch {
 	return append(conns, shared)
 }
 
-// assertBatchExact replays the batch and asserts every member is
-// bit-exact against the per-arch reference Replay — every counter,
-// the float energy accumulator, the latency histogram and the
+// assertBatchExact replays the batch, and every arch again as a
+// one-member batch (the production singleton path), and asserts each
+// result is bit-exact against the per-arch reference Replay — every
+// counter, the float energy accumulator, the latency histogram and the
 // scheduler statistics included.
 func assertBatchExact(t *testing.T, name string, bt *BehaviorTrace, conns []*connect.Arch) {
 	t.Helper()
@@ -66,16 +67,6 @@ func assertBatchExact(t *testing.T, name string, bt *BehaviorTrace, conns []*con
 	if len(batch) != len(conns) {
 		t.Fatalf("%s: ReplayBatch returned %d results for %d archs", name, len(batch), len(conns))
 	}
-	// Residue capture must not perturb the replay: the recording pass
-	// returns bit-identical Results and one residue per requested arch.
-	want := make([]bool, len(conns))
-	for i := range want {
-		want[i] = i%2 == 0
-	}
-	recorded, residues, err := ReplayBatchResidue(bt, conns, want)
-	if err != nil {
-		t.Fatalf("%s: ReplayBatchResidue: %v", name, err)
-	}
 	for i, c := range conns {
 		ref, err := Replay(bt, c)
 		if err != nil {
@@ -85,14 +76,13 @@ func assertBatchExact(t *testing.T, name string, bt *BehaviorTrace, conns []*con
 			t.Errorf("%s[%d]: batch result diverged from Replay:\n got %+v\nwant %+v",
 				name, i, batch[i], ref)
 		}
-		if !reflect.DeepEqual(recorded[i], ref) {
-			t.Errorf("%s[%d]: residue-recording result diverged from Replay", name, i)
+		single, err := ReplayBatch(bt, conns[i:i+1])
+		if err != nil {
+			t.Fatalf("%s[%d]: one-member ReplayBatch: %v", name, i, err)
 		}
-		if want[i] && residues[i] == nil {
-			t.Errorf("%s[%d]: requested residue is nil", name, i)
-		}
-		if !want[i] && residues[i] != nil {
-			t.Errorf("%s[%d]: unrequested residue returned", name, i)
+		if !reflect.DeepEqual(single[0], ref) {
+			t.Errorf("%s[%d]: one-member batch diverged from Replay:\n got %+v\nwant %+v",
+				name, i, single[0], ref)
 		}
 	}
 }

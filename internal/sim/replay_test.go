@@ -60,6 +60,16 @@ func runExact(t *testing.T, m *mem.Architecture, c *connect.Arch, tr *trace.Trac
 	return r
 }
 
+// replayOne re-times a behavior trace against one connectivity
+// architecture the way production code does: as a one-member batch.
+func replayOne(bt *BehaviorTrace, c *connect.Arch) (*Result, error) {
+	res, err := ReplayBatch(bt, []*connect.Arch{c})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
 // TestReplayFidelityLibrary is the acceptance fidelity gate: for every
 // component of the connectivity library, on all three paper workloads,
 // a full-trace capture + replay must match the exact simulator within
@@ -84,7 +94,7 @@ func TestReplayFidelityLibrary(t *testing.T) {
 				}
 				c := buildConnT(t, m, on, off)
 				exact := runExact(t, m, c, tr)
-				got, err := Replay(bt, c)
+				got, err := replayOne(bt, c)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,7 +162,7 @@ func TestReplayExactOnFullTrace(t *testing.T) {
 	for _, on := range []string{"ded32", "apb32", "ahb32"} {
 		c := buildConnT(t, m, on, "off32")
 		exact := runExact(t, m, c, tr)
-		got, err := Replay(bt, c)
+		got, err := replayOne(bt, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +213,7 @@ func TestReplaySampledWindows(t *testing.T) {
 			}
 			pos = w.Hi
 		}
-		got, err := Replay(bt, c)
+		got, err := replayOne(bt, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +239,7 @@ func TestReplayRejectsMismatchedChannels(t *testing.T) {
 	}
 	other := cacheArch(4096)
 	c := buildConnT(t, other, "ahb32", "off32")
-	if _, err := Replay(bt, c); err == nil {
+	if _, err := replayOne(bt, c); err == nil {
 		t.Fatal("channel mismatch accepted")
 	}
 }

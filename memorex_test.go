@@ -4,31 +4,20 @@ import (
 	"bytes"
 	"context"
 	"testing"
-
-	"memorex/internal/apex"
-	"memorex/internal/sampling"
 )
 
-// fastOptions shrinks the spaces so the facade test stays quick.
-func fastOptions(bench string) Options {
-	opt := DefaultOptions(bench)
-	opt.APEX = apex.Config{
-		CacheSizes:  []int{2 << 10, 16 << 10},
-		CacheAssocs: []int{2},
-		CacheLines:  []int{32},
-		MaxCustom:   1,
-		SRAMLimit:   80 << 10,
-		MaxSelected: 3,
+// fastExplorer builds an Explorer over the shrunken test spaces.
+func fastExplorer(t *testing.T) *Explorer {
+	t.Helper()
+	ex, err := NewExplorer(fastExplorerOpts()...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	opt.ConEx.MaxAssignPerLevel = 16
-	opt.ConEx.KeepPerArch = 4
-	opt.ConEx.Sampling = sampling.Config{OnWindow: 500, OffRatio: 9}
-	return opt
+	return ex
 }
 
 func TestExplorePipeline(t *testing.T) {
-	opt := fastOptions("vocoder")
-	rep, err := Explore(context.Background(), opt)
+	rep, err := fastExplorer(t).Do(context.Background(), ExploreRequest{Benchmark: "vocoder"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +87,7 @@ func TestGenerateTraceErrors(t *testing.T) {
 }
 
 func TestExploreTraceEmpty(t *testing.T) {
-	if _, err := ExploreTrace(context.Background(), &Trace{DS: nil}, fastOptions("compress")); err == nil {
+	if _, err := fastExplorer(t).Do(context.Background(), ExploreRequest{Trace: &Trace{DS: nil}, Benchmark: "compress"}); err == nil {
 		t.Fatal("empty trace accepted")
 	}
 }
@@ -111,7 +100,7 @@ func TestBenchmarksList(t *testing.T) {
 }
 
 func TestReportJSONRoundTrip(t *testing.T) {
-	rep, err := Explore(context.Background(), fastOptions("vocoder"))
+	rep, err := fastExplorer(t).Do(context.Background(), ExploreRequest{Benchmark: "vocoder"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,11 +55,15 @@ daemon-check:
 # search-check runs the heuristic-search suite: the coverage quality
 # gate (GA and SA must recover ≥90% of the Full ground-truth front at
 # ≤25% of its simulations), the seeded-determinism and budget tests
-# under the race detector, the request fuzz seed corpus, and the
-# heuristic request-path contract tests.
+# under the race detector, the shared APEX sweep the search space is
+# built from (worker-count invariance, first-error and cancellation
+# contract, BRG reuse only on APEX's own trace), the request fuzz seed
+# corpus, and the heuristic request-path contract tests.
 search-check:
 	$(GO) test -run 'TestSearchCoverageQualityGate' ./internal/explore/
-	$(GO) test -race -run 'TestSearchSeededDeterminism|TestSearchDifferentSeedsDiffer|TestSearchBudgetRespected|TestSearchInvalidConfig|TestParseStrategy' ./internal/explore/
+	$(GO) test -race -run 'TestSearchSeededDeterminism|TestSearchDifferentSeedsDiffer|TestSearchBudgetRespected|TestSearchInvalidConfig|TestParseStrategy|TestBuildSpaceBRGsMatchBuildBRG|TestSpaceOtherTraceRecomputesBRGs' ./internal/explore/
+	$(GO) test -race -run 'TestExploreWorkerCountInvariant|TestConfigEngineIsExecutionHandle' ./internal/apex/
+	$(GO) test -race -run 'TestRunMemOnly' ./internal/engine/
 	$(GO) test -race -run 'FuzzExploreRequestJSON|TestExplorerDoHeuristicStrategy' .
 	$(GO) test -race -run 'TestDaemonHeuristicJob' ./cmd/memorexd/
 

@@ -58,13 +58,13 @@ func main() {
 	if *archIdx < 0 || *archIdx >= len(apexRes.Selected) {
 		log.Fatalf("-arch %d out of range: APEX selected %d architectures", *archIdx, len(apexRes.Selected))
 	}
-	arch := apexRes.Selected[*archIdx].Arch
+	dp := apexRes.Selected[*archIdx]
+	arch := dp.Arch
 	fmt.Printf("memory architecture %d: %s\n", *archIdx, arch.Describe(tr))
 
-	brg, err := core.BuildBRG(tr, arch)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// APEX already simulated the architecture on this trace; its
+	// channel traffic is the BRG.
+	brg := core.NewBRG(arch, dp.MemOnly)
 	fmt.Println("\nbandwidth requirement graph:")
 	for i, ch := range brg.Channels {
 		side := "on-chip "

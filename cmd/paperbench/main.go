@@ -88,6 +88,10 @@ func main() {
 	opt.ConEx.Engine = engine.New(opt.ConEx.Workers,
 		engine.WithObserver(observer), engine.WithMetrics(reg),
 		engine.WithBehaviorCache(cache))
+	// The APEX sweeps run on the same engine, so -workers bounds them
+	// too.
+	opt.APEX.Engine = opt.ConEx.Engine
+	opt.Table2APEX.Engine = opt.ConEx.Engine
 	ob.ServeDebug(reg.Snapshot)
 
 	ctx, cancel := cliutil.SignalContext()

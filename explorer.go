@@ -457,7 +457,12 @@ func (x *Explorer) resolve(req ExploreRequest) (workload.Config, apex.Config, co
 func (x *Explorer) run(ctx context.Context, o *obs.Observer, benchmark string, t *trace.Trace,
 	wl workload.Config, apexCfg apex.Config, conexCfg core.Config, strategy explore.Strategy) (*Report, error) {
 	prof := profile.Analyze(t)
-	apexRes, err := apex.Explore(t, prof, apexCfg)
+	// The sweep runs on the Explorer's engine; the report's options
+	// keep no handle on it, so a kept report does not pin the engine's
+	// memo.
+	sweep := apexCfg
+	sweep.Engine = x.eng
+	apexRes, err := apex.Explore(t, prof, sweep)
 	if err != nil {
 		return nil, fmt.Errorf("memorex: APEX failed: %w", err)
 	}

@@ -10,9 +10,11 @@
 package apex
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
+	"memorex/internal/engine"
 	"memorex/internal/mem"
 	"memorex/internal/pareto"
 	"memorex/internal/profile"
@@ -47,6 +49,11 @@ type Config struct {
 	// architecture with a shared L2 of each given size (4-way, 32-byte
 	// lines) shielding the off-chip channel.
 	L2Sizes []int `json:"l2_sizes,omitempty"`
+	// Engine, when non-nil, runs the mem-only sweep on its worker
+	// bound; nil means a fresh engine.New(0). It is an execution
+	// handle, not part of the design space: IsZero and Validate ignore
+	// it.
+	Engine *engine.Engine `json:"-"`
 }
 
 // DefaultConfig returns the sweep used by the paper-reproduction
@@ -71,10 +78,13 @@ func (c Config) IsZero() bool {
 }
 
 // Normalize resolves the config the explorations run with: the zero
-// value becomes DefaultConfig, anything else must validate as-is.
+// value becomes DefaultConfig (keeping the Engine handle), anything
+// else must validate as-is.
 func (c Config) Normalize() (Config, error) {
 	if c.IsZero() {
-		return DefaultConfig(), nil
+		def := DefaultConfig()
+		def.Engine = c.Engine
+		return def, nil
 	}
 	if err := c.Validate(); err != nil {
 		return Config{}, err
@@ -104,6 +114,9 @@ type DesignPoint struct {
 	// OffChipBytesPerAccess measures the demand the architecture puts
 	// on the chip boundary.
 	OffChipBytesPerAccess float64
+	// MemOnly is the ideal-interconnect simulation the figures above
+	// come from; its ChannelBytes label the architecture's BRG.
+	MemOnly *sim.MemOnlyResult
 }
 
 // Result is the outcome of the memory-modules exploration.
@@ -115,6 +128,8 @@ type Result struct {
 	Selected []DesignPoint
 	// EvaluatedAccesses is the exploration work in simulated accesses.
 	EvaluatedAccesses int64
+	// Trace is the trace every design was measured on.
+	Trace *trace.Trace
 }
 
 // customCandidate is a pattern-matched module proposal for one data
@@ -125,7 +140,9 @@ type customCandidate struct {
 	label string
 }
 
-// Explore runs the memory-modules exploration on a profiled trace.
+// Explore runs the memory-modules exploration on a profiled trace. The
+// mem-only simulations run on cfg.Engine's workers; the result is in
+// sweep order at any worker count.
 func Explore(t *trace.Trace, prof *profile.Profile, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -184,17 +201,23 @@ func Explore(t *trace.Trace, prof *profile.Profile, cfg Config) (*Result, error)
 		}
 	}
 
-	res := &Result{}
-	for _, arch := range archs {
-		r, err := sim.RunMemOnly(t, arch)
-		if err != nil {
-			return nil, err
-		}
+	eng := cfg.Engine
+	if eng == nil {
+		eng = engine.New(0)
+	}
+	results, err := eng.RunMemOnly(context.TODO(), t, archs)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Trace: t}
+	for i, arch := range archs {
+		r := results[i]
 		res.EvaluatedAccesses += r.Accesses
 		dp := DesignPoint{
 			Arch:      arch,
 			Gates:     arch.Gates(),
 			MissRatio: r.MissRatio(),
+			MemOnly:   r,
 		}
 		if r.Accesses > 0 {
 			dp.OffChipBytesPerAccess = float64(r.OffChipBytes) / float64(r.Accesses)

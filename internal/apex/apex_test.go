@@ -1,10 +1,13 @@
 package apex
 
 import (
+	"reflect"
 	"testing"
 
+	"memorex/internal/engine"
 	"memorex/internal/mem"
 	"memorex/internal/profile"
+	"memorex/internal/sim"
 	"memorex/internal/workload"
 )
 
@@ -271,5 +274,67 @@ func TestExploreMaxSelectedOne(t *testing.T) {
 	}
 	if len(res.Selected) != 1 {
 		t.Fatalf("MaxSelected=1 returned %d designs", len(res.Selected))
+	}
+}
+
+// The sweep runs on the engine's workers but its result must not
+// depend on how many there are.
+func TestExploreWorkerCountInvariant(t *testing.T) {
+	tr := workload.Compress{}.Generate(workload.DefaultConfig()).Slice(0, 60_000)
+	type point struct {
+		Name      string
+		Gates     float64
+		MissRatio float64
+		OffChip   float64
+		MemOnly   *sim.MemOnlyResult
+	}
+	project := func(dps []DesignPoint) []point {
+		out := make([]point, len(dps))
+		for i, dp := range dps {
+			out[i] = point{dp.Arch.Name, dp.Gates, dp.MissRatio, dp.OffChipBytesPerAccess, dp.MemOnly}
+		}
+		return out
+	}
+	var all, sel [][]point
+	for _, workers := range []int{1, 4} {
+		cfg := smallConfig()
+		cfg.Engine = engine.New(workers)
+		res, err := Explore(tr, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Trace != tr {
+			t.Fatal("Result.Trace is not the explored trace")
+		}
+		for _, dp := range res.All {
+			if dp.MemOnly == nil || dp.MemOnly.MissRatio() != dp.MissRatio {
+				t.Fatalf("%s: MemOnly missing or inconsistent with MissRatio", dp.Arch.Name)
+			}
+		}
+		all = append(all, project(res.All))
+		sel = append(sel, project(res.Selected))
+	}
+	if !reflect.DeepEqual(all[0], all[1]) {
+		t.Fatal("All differs between 1 and 4 workers")
+	}
+	if !reflect.DeepEqual(sel[0], sel[1]) {
+		t.Fatal("Selected differs between 1 and 4 workers")
+	}
+}
+
+// The engine is an execution handle: it never makes a config non-zero
+// and survives normalization to the defaults.
+func TestConfigEngineIsExecutionHandle(t *testing.T) {
+	eng := engine.New(1)
+	c := Config{Engine: eng}
+	if !c.IsZero() {
+		t.Fatal("a config holding only an engine is not zero")
+	}
+	n, err := c.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Engine != eng || n.MaxSelected != DefaultConfig().MaxSelected {
+		t.Fatal("Normalize dropped the engine or the defaults")
 	}
 }

@@ -37,12 +37,19 @@ func BuildBRG(t *trace.Trace, arch *mem.Architecture) (*BRG, error) {
 	if err != nil {
 		return nil, err
 	}
+	return NewBRG(arch, r), nil
+}
+
+// NewBRG labels the architecture's channels with the traffic of an
+// already-run mem-only simulation of it (such as APEX's), so the BRG
+// costs no second simulation. The BRG shares r's ChannelBytes.
+func NewBRG(arch *mem.Architecture, r *sim.MemOnlyResult) *BRG {
 	return &BRG{
 		Arch:     arch,
 		Channels: arch.Channels(),
 		Bytes:    r.ChannelBytes,
 		Accesses: r.Accesses,
-	}, nil
+	}
 }
 
 // Bandwidth returns channel i's traffic in bytes per access.

@@ -101,13 +101,36 @@ type Space struct {
 	// NeighborMem adds the cost-axis neighbours of every selected
 	// architecture (the Neighborhood entry set).
 	NeighborMem []*mem.Architecture
+
+	// brgTrace and brgs hold every AllMem architecture's BRG, labelled
+	// with the channel traffic APEX measured on brgTrace, so drivers
+	// run on that trace need no second mem-only simulation (see brgOf).
+	brgTrace *trace.Trace
+	brgs     map[*mem.Architecture]*core.BRG
+}
+
+// brgOf returns the BRG of arch on t: the one APEX measured when t is
+// the very trace APEX ran on, a freshly simulated one otherwise.
+func (sp *Space) brgOf(t *trace.Trace, arch *mem.Architecture) (*core.BRG, error) {
+	if t == sp.brgTrace {
+		if brg, ok := sp.brgs[arch]; ok {
+			return brg, nil
+		}
+	}
+	return core.BuildBRG(t, arch)
 }
 
 // BuildSpace derives the three entry sets from an APEX exploration
 // result. Neighbours are the candidates adjacent in gate cost to each
-// selected design.
+// selected design. The space keeps the BRG of every candidate, built
+// from APEX's mem-only results on res.Trace.
 func BuildSpace(res *apex.Result) *Space {
-	sp := &Space{}
+	sp := &Space{brgTrace: res.Trace, brgs: map[*mem.Architecture]*core.BRG{}}
+	for _, dp := range res.All {
+		if dp.MemOnly != nil {
+			sp.brgs[dp.Arch] = core.NewBRG(dp.Arch, dp.MemOnly)
+		}
+	}
 	// Candidates sorted by cost (APEX reports them in sweep order; we
 	// need the cost axis for neighbourhoods).
 	sorted := append([]apex.DesignPoint(nil), res.All...)
@@ -180,7 +203,7 @@ func Run(ctx context.Context, t *trace.Trace, sp *Space, strategy Strategy, cfg 
 	out := &Outcome{Strategy: strategy}
 	switch strategy {
 	case Full:
-		if err := runFull(ctx, eng, t, sp.AllMem, cfg, out); err != nil {
+		if err := runFull(ctx, eng, t, sp, cfg, out); err != nil {
 			return nil, err
 		}
 	case Pruned:
@@ -333,15 +356,15 @@ func connectivityNeighbors(ctx context.Context, eng *engine.Engine, t *trace.Tra
 }
 
 // runFull simulates the entire combined space through the engine.
-func runFull(ctx context.Context, eng *engine.Engine, t *trace.Trace, memArchs []*mem.Architecture, cfg core.Config, out *Outcome) error {
+func runFull(ctx context.Context, eng *engine.Engine, t *trace.Trace, sp *Space, cfg core.Config, out *Outcome) error {
 	type job struct {
 		arch *mem.Architecture
 		conn *connect.Arch
 	}
 	// Enumerate all candidate (memory, connectivity) pairs first.
 	var jobs []job
-	for _, arch := range memArchs {
-		brg, err := core.BuildBRG(t, arch)
+	for _, arch := range sp.AllMem {
+		brg, err := sp.brgOf(t, arch)
 		if err != nil {
 			return err
 		}

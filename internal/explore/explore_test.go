@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -174,6 +175,57 @@ func TestNeighborhoodExpandsAndDedups(t *testing.T) {
 		seen[k]++
 		if seen[k] > 1 {
 			t.Fatalf("duplicate design simulated twice: %+v", k)
+		}
+	}
+}
+
+// BuildSpace's BRGs come from APEX's mem-only results; they must be the
+// BRGs core.BuildBRG would simulate afresh, field for field.
+func TestBuildSpaceBRGsMatchBuildBRG(t *testing.T) {
+	tr, sp := tinySpace(t)
+	if sp.brgTrace != tr {
+		t.Fatal("the space does not record APEX's trace")
+	}
+	if len(sp.brgs) != len(sp.AllMem) {
+		t.Fatalf("space holds %d BRGs for %d architectures", len(sp.brgs), len(sp.AllMem))
+	}
+	for _, arch := range sp.AllMem {
+		want, err := core.BuildBRG(tr, arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sp.brgOf(tr, arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != sp.brgs[arch] {
+			t.Fatalf("%s: brgOf did not reuse APEX's BRG on APEX's trace", arch.Name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: BRG from APEX differs from BuildBRG:\n%v\n%v", arch.Name, got, want)
+		}
+	}
+}
+
+// A space driven on another trace (even a prefix of APEX's) must
+// simulate that trace's BRGs instead of reusing APEX's.
+func TestSpaceOtherTraceRecomputesBRGs(t *testing.T) {
+	tr, sp := tinySpace(t)
+	short := tr.Slice(0, 10_000)
+	for _, arch := range sp.AllMem {
+		want, err := core.BuildBRG(short, arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sp.brgOf(short, arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == sp.brgs[arch] || got.Accesses != 10_000 {
+			t.Fatalf("%s: reused APEX's BRG for a different trace", arch.Name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: recomputed BRG differs from BuildBRG", arch.Name)
 		}
 	}
 }

@@ -126,12 +126,13 @@ func (g genome) clone() genome {
 	return out
 }
 
-// buildSearchSpace profiles every memory architecture into its BRG and
-// precomputes the feasible-component table of every clustering level.
-func buildSearchSpace(t *trace.Trace, memArchs []*mem.Architecture, lib []connect.Component) ([]*memSpace, error) {
+// buildSearchSpace takes the BRG of every memory architecture of the
+// space and precomputes the feasible-component table of every
+// clustering level.
+func buildSearchSpace(t *trace.Trace, sp *Space, lib []connect.Component) ([]*memSpace, error) {
 	var spaces []*memSpace
-	for _, arch := range memArchs {
-		brg, err := core.BuildBRG(t, arch)
+	for _, arch := range sp.AllMem {
+		brg, err := sp.brgOf(t, arch)
 		if err != nil {
 			return nil, err
 		}
@@ -645,7 +646,7 @@ func runSearch(ctx context.Context, eng *engine.Engine, t *trace.Trace, sp *Spac
 	if err != nil {
 		return err
 	}
-	mems, err := buildSearchSpace(t, sp.AllMem, cfg.Library)
+	mems, err := buildSearchSpace(t, sp, cfg.Library)
 	if err != nil {
 		return err
 	}

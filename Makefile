@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-compare cache-check daemon-check search-check serve-smoke check
+.PHONY: build test race vet fmt-check bench bench-compare cache-check daemon-check search-check serve-smoke check
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any Go file needs gofmt.
+fmt-check:
+	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
 
 # bench runs the benchmark suite (3 fixed iterations, matching how
 # the baselines were measured) and writes the parsed domain metrics —
@@ -57,14 +61,18 @@ daemon-check:
 # ≤25% of its simulations), the seeded-determinism and budget tests
 # under the race detector, the shared APEX sweep the search space is
 # built from (worker-count invariance, first-error and cancellation
-# contract, BRG reuse only on APEX's own trace), the request fuzz seed
-# corpus, and the heuristic request-path contract tests.
+# contract, BRG reuse only on APEX's own trace, the content-keyed
+# single-flight mem-only memo), the profiler APEX reads (dense tables
+# against the map reference, fuzz seed corpus included), the request
+# fuzz seed corpus, the heuristic request-path contract tests, and a
+# repeated Explorer request running no mem-only simulation.
 search-check:
 	$(GO) test -run 'TestSearchCoverageQualityGate' ./internal/explore/
 	$(GO) test -race -run 'TestSearchSeededDeterminism|TestSearchDifferentSeedsDiffer|TestSearchBudgetRespected|TestSearchInvalidConfig|TestParseStrategy|TestBuildSpaceBRGsMatchBuildBRG|TestSpaceOtherTraceRecomputesBRGs' ./internal/explore/
 	$(GO) test -race -run 'TestExploreWorkerCountInvariant|TestConfigEngineIsExecutionHandle' ./internal/apex/
 	$(GO) test -race -run 'TestRunMemOnly' ./internal/engine/
-	$(GO) test -race -run 'FuzzExploreRequestJSON|TestExplorerDoHeuristicStrategy' .
+	$(GO) test -race -run 'TestAnalyzeMatchesReference|FuzzAnalyze' ./internal/profile/
+	$(GO) test -race -run 'FuzzExploreRequestJSON|TestExplorerDoHeuristicStrategy|TestExplorerMemOnlyMemo' .
 	$(GO) test -race -run 'TestDaemonHeuristicJob' ./cmd/memorexd/
 
 # serve-smoke boots a real memorexd process, submits a tiny job through
@@ -74,9 +82,10 @@ serve-smoke:
 	sh scripts/serve-smoke.sh
 
 # check is the gate a change must pass before review: formatting is
-# clean, vet finds nothing, the whole suite passes under the race
-# detector, and the trace-cache, daemon and heuristic-search suites
-# hold.
-check: vet cache-check daemon-check search-check
-	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
+# clean, vet finds nothing, the trace-cache, daemon and heuristic-search
+# suites hold, and every test of this module passes under the race
+# detector. Fuzz targets run their seed corpus only, benchmarks do not
+# run, and perfbench/ is a module of its own that this gate does not
+# test.
+check: fmt-check vet cache-check daemon-check search-check
 	$(GO) test -race ./...

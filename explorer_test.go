@@ -61,28 +61,67 @@ func TestExplorerWarmStart(t *testing.T) {
 	}
 
 	// Bit-identical results: the serialized design points of both runs
-	// must match byte for byte (engine stats and metrics carry wall
-	// times and cache counters that legitimately differ, so compare the
-	// designs section).
-	designs := func(r *Report) []byte {
+	// must match byte for byte.
+	if d1, d2 := reportDesigns(t, rep1), reportDesigns(t, rep2); !bytes.Equal(d1, d2) {
+		t.Fatalf("warm-start designs diverged:\ncold %s\nwarm %s", d1, d2)
+	}
+}
+
+// reportDesigns serializes a report without its engine stats and
+// metrics, which carry wall times and cache counters that legitimately
+// differ between otherwise identical runs.
+func reportDesigns(t *testing.T, r *Report) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var rj ReportJSON
+	if err := json.Unmarshal(buf.Bytes(), &rj); err != nil {
+		t.Fatal(err)
+	}
+	rj.Engine, rj.Metrics = nil, nil
+	out, err := json.Marshal(rj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestExplorerMemOnlyMemo: the Pruned path's BRGs are memo hits on
+// APEX's sweep, and a repeated request on the same Explorer (its trace
+// regenerated) runs no mem-only simulation at all yet reports the same
+// designs byte for byte.
+func TestExplorerMemOnlyMemo(t *testing.T) {
+	ex, err := NewExplorer(fastExplorerOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	do := func() (rep *Report, runs, hits int64) {
 		t.Helper()
-		var buf bytes.Buffer
-		if err := r.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		var rj ReportJSON
-		if err := json.Unmarshal(buf.Bytes(), &rj); err != nil {
-			t.Fatal(err)
-		}
-		rj.Engine, rj.Metrics = nil, nil
-		out, err := json.Marshal(rj)
+		rep, err := ex.Do(context.Background(), ExploreRequest{Benchmark: "vocoder"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
+		c := rep.Metrics.Counters
+		return rep, c["engine/memonly/runs"], c["engine/memonly/hits"]
 	}
-	if d1, d2 := designs(rep1), designs(rep2); !bytes.Equal(d1, d2) {
-		t.Fatalf("warm-start designs diverged:\ncold %s\nwarm %s", d1, d2)
+	rep1, runs1, hits1 := do()
+	if want := int64(len(rep1.APEX.All)); runs1 != want {
+		t.Fatalf("first request ran %d mem-only simulations, want one per APEX architecture (%d)", runs1, want)
+	}
+	if want := int64(len(rep1.APEX.Selected)); hits1 != want {
+		t.Fatalf("first request had %d mem-only memo hits, want one BRG per selected architecture (%d)", hits1, want)
+	}
+	rep2, runs2, _ := do()
+	if runs2 != runs1 {
+		t.Fatalf("repeated request ran %d new mem-only simulations, want 0", runs2-runs1)
+	}
+	if rep1.Trace == rep2.Trace {
+		t.Fatal("the repeated request reused the trace object; the test needs a regenerated one")
+	}
+	if d1, d2 := reportDesigns(t, rep1), reportDesigns(t, rep2); !bytes.Equal(d1, d2) {
+		t.Fatalf("repeated request's designs diverged:\nfirst  %s\nsecond %s", d1, d2)
 	}
 }
 

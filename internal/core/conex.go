@@ -231,16 +231,34 @@ func ConnectivityExploration(ctx context.Context, t *trace.Trace, arch *mem.Arch
 	if err := cfg.Validate(); err != nil {
 		return nil, 0, 0, err
 	}
-	return connectivityExploration(ctx, cfg.EngineOrNew(), t, arch, cfg)
-}
-
-// connectivityExploration is ConnectivityExploration on an explicit
-// engine, so Explore shares one engine across phases and architectures.
-func connectivityExploration(ctx context.Context, eng *engine.Engine, t *trace.Trace, arch *mem.Architecture, cfg Config) ([]DesignPoint, int64, int64, error) {
-	brg, err := BuildBRG(t, arch)
+	eng := cfg.EngineOrNew()
+	brgs, err := engineBRGs(ctx, eng, t, []*mem.Architecture{arch})
 	if err != nil {
 		return nil, 0, 0, err
 	}
+	return connectivityExploration(ctx, eng, t, brgs[0], cfg)
+}
+
+// engineBRGs builds the BRG of every architecture from the engine's
+// memoized mem-only sweep: architectures APEX already simulated on an
+// equal trace are memo hits, the rest run on the engine's workers.
+func engineBRGs(ctx context.Context, eng *engine.Engine, t *trace.Trace, archs []*mem.Architecture) ([]*BRG, error) {
+	results, err := eng.RunMemOnly(ctx, t, archs)
+	if err != nil {
+		return nil, err
+	}
+	brgs := make([]*BRG, len(archs))
+	for i, arch := range archs {
+		brgs[i] = NewBRG(arch, results[i])
+	}
+	return brgs, nil
+}
+
+// connectivityExploration is ConnectivityExploration on an explicit
+// engine and a built BRG, so Explore shares one engine across phases
+// and architectures.
+func connectivityExploration(ctx context.Context, eng *engine.Engine, t *trace.Trace, brg *BRG, cfg Config) ([]DesignPoint, int64, int64, error) {
+	arch := brg.Arch
 	var candidates []*connect.Arch
 	var dropped int64
 	for _, level := range Levels(brg) {
@@ -329,7 +347,9 @@ func SelectLocal(points []DesignPoint, keep int) []DesignPoint {
 // architectures selected by APEX. All design-point evaluations go
 // through the configured engine (cfg.Engine, or a private one), which
 // bounds parallelism, memoizes equivalent designs and honours ctx
-// cancellation.
+// cancellation. The BRGs come from one engine.RunMemOnly sweep over
+// memArchs, so when APEX already ran on the same engine and an equal
+// trace they cost no simulation.
 func Explore(ctx context.Context, t *trace.Trace, memArchs []*mem.Architecture, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -342,10 +362,16 @@ func Explore(ctx context.Context, t *trace.Trace, memArchs []*mem.Architecture, 
 	before := eng.Stats()
 	res := &Result{}
 
+	brgs, err := engineBRGs(ctx, eng, t, memArchs)
+	if err != nil {
+		return nil, err
+	}
+
 	// Phase I: per-architecture estimation and local selection.
 	var phase2 []DesignPoint
-	for _, arch := range memArchs {
-		points, work, dropped, err := connectivityExploration(ctx, eng, t, arch, cfg)
+	for _, brg := range brgs {
+		arch := brg.Arch
+		points, work, dropped, err := connectivityExploration(ctx, eng, t, brg, cfg)
 		if err != nil {
 			return nil, err
 		}

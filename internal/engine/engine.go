@@ -11,7 +11,9 @@
 //   - a memoization cache keyed by a stable fingerprint of
 //     (trace, memory architecture, connectivity architecture,
 //     sampled-vs-full), so a design estimated in ConEx Phase I or seen
-//     by a sibling strategy or experiment is never simulated twice;
+//     by a sibling strategy or experiment is never simulated twice,
+//     beside content-keyed memos of Phase A behavior captures and of
+//     APEX's mem-only simulations (RunMemOnly);
 //   - evaluation statistics (simulations run, cache hits, sampled and
 //     full access counts, wall time per named phase) surfaced through
 //     the report writer and the memorex/paperbench CLIs.
@@ -219,10 +221,13 @@ type Engine struct {
 	mu       sync.Mutex
 	cache    map[uint64]*entry
 	behavior map[uint64]*behaviorEntry
-	traceFP  map[*trace.Trace]uint64
-	memFP    map[*mem.Architecture]uint64
-	stats    Stats
-	phase    map[string]int // phase name -> index into stats.Phases
+	// memOnlyMemo holds the ideal-interconnect simulations of the APEX
+	// sweep (see RunMemOnly).
+	memOnlyMemo map[uint64]*memOnlyEntry
+	traceFP     map[*trace.Trace]uint64
+	memFP       map[*mem.Architecture]uint64
+	stats       Stats
+	phase       map[string]int // phase name -> index into stats.Phases
 }
 
 // instruments caches the engine's metrics-registry handles so the per-
@@ -243,6 +248,8 @@ type instruments struct {
 	batchDedup          *obs.Counter
 	batchSize           *obs.Histogram
 	batchWall           *obs.Histogram
+	memOnlyRuns         *obs.Counter
+	memOnlyHits         *obs.Counter
 }
 
 // Option configures an Engine beyond its worker bound.
@@ -280,12 +287,13 @@ func New(workers int, opts ...Option) *Engine {
 		workers = DefaultWorkers()
 	}
 	e := &Engine{
-		workers:  workers,
-		cache:    map[uint64]*entry{},
-		behavior: map[uint64]*behaviorEntry{},
-		traceFP:  map[*trace.Trace]uint64{},
-		memFP:    map[*mem.Architecture]uint64{},
-		phase:    map[string]int{},
+		workers:     workers,
+		cache:       map[uint64]*entry{},
+		behavior:    map[uint64]*behaviorEntry{},
+		memOnlyMemo: map[uint64]*memOnlyEntry{},
+		traceFP:     map[*trace.Trace]uint64{},
+		memFP:       map[*mem.Architecture]uint64{},
+		phase:       map[string]int{},
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -310,6 +318,8 @@ func New(workers int, opts ...Option) *Engine {
 			batchDedup:      e.metrics.Counter("engine/batch/dedup_hits"),
 			batchSize:       e.metrics.Histogram("engine/batch/size"),
 			batchWall:       e.metrics.Histogram("engine/batch/wall_us"),
+			memOnlyRuns:     e.metrics.Counter("engine/memonly/runs"),
+			memOnlyHits:     e.metrics.Counter("engine/memonly/hits"),
 		}
 		e.metrics.Gauge("engine/workers").Set(float64(workers))
 	}

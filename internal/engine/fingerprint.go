@@ -44,6 +44,17 @@ func (e *Engine) behaviorKey(r Request) uint64 {
 	return combineBehavior(e.traceFingerprint(r.Trace), e.memFingerprint(r.Mem), r.Mode, r.Sampling)
 }
 
+// memOnlyKey computes the memoization key of a mem-only simulation
+// from the trace and memory-architecture digests. The domain tag keeps
+// it apart from the behavior key over the same two digests.
+func memOnlyKey(traceFP, memFP uint64) uint64 {
+	h := fnv.New64a()
+	io.WriteString(h, "memonly")
+	writeU64(h, traceFP)
+	writeU64(h, memFP)
+	return h.Sum64()
+}
+
 // BehaviorFingerprint computes the content-based digest of a Phase A
 // behavior capture — the same value the engine keys its in-memory memo
 // and the on-disk behavior-trace cache by. It hashes the full access

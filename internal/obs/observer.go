@@ -2,7 +2,6 @@ package obs
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -28,10 +27,10 @@ type Observer struct {
 
 // fanout is the state shared by an observer and all its ForJob
 // derivatives: the sequence counter, the sink list and the emission
-// lock.
+// lock, which also guards the counter.
 type fanout struct {
-	seq    atomic.Uint64
 	mu     sync.Mutex
+	seq    uint64
 	sinks  []Sink
 	closed bool
 	err    error
@@ -107,9 +106,12 @@ func (o *Observer) emit(ev *Event) {
 		return
 	}
 	ev.Job = o.job
-	ev.Seq = o.s.seq.Add(1)
-	ev.Time = time.Now()
+	// Stamp under the lock: a Seq taken before it lets a concurrent
+	// emitter reach the sinks first, out of order.
 	o.s.mu.Lock()
+	o.s.seq++
+	ev.Seq = o.s.seq
+	ev.Time = time.Now()
 	if !o.s.closed {
 		for _, s := range o.s.sinks {
 			s.Emit(ev)

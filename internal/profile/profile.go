@@ -9,6 +9,7 @@ package profile
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"memorex/internal/trace"
@@ -139,68 +140,163 @@ const (
 	hotFootprint    = 16 * 1024
 )
 
+// denseRegionCap is the largest declared region, in bytes, whose
+// per-block last-touch ordinals and per-address successors Analyze
+// keeps in dense tables; a larger region falls back to maps. The
+// tables take about 4.4 bytes per region byte.
+const denseRegionCap = 4 << 20
+
+// tally is what one pass over the trace measured for one structure;
+// summarize turns it into Stats.
+type tally struct {
+	count, bytes, stores int64
+	// footprint counts the distinct 32-byte blocks touched.
+	footprint   int64
+	strides     map[int32]int64
+	smallPos    int64
+	transitions int64
+	consistent  int64
+	// gapHist[k] counts reuse gaps in [2^k, 2^(k+1)).
+	gapHist [33]int64
+	reuses  int64
+}
+
+// regionState tracks one structure during Analyze. Blocks and addresses
+// inside the declared region index dense tables; anything outside it
+// (only possible in an unvalidated trace) or in an oversized region
+// goes to the maps, so every key lives in exactly one of the two.
+type regionState struct {
+	tally
+	lastAddr uint32
+	// runDelta/runLen coalesce a run of equal non-zero deltas into one
+	// stride-map update.
+	runDelta int32
+	runLen   int64
+
+	blockLo   uint32   // block number of lastTouch[0]
+	lastTouch []int64  // per block: ordinal of its last access, 0 = never
+	base      uint32   // address of succ[0]
+	succ      []uint32 // per address offset: the address that followed it
+	succSet   []uint64 // bitset: succ[i] has been recorded
+
+	blocks    map[uint32]int64  // block -> last ordinal, outside lastTouch
+	successor map[uint32]uint32 // address -> successor, outside succ
+}
+
+// init sizes the dense tables from the structure's declared region.
+func (st *regionState) init(d trace.DSInfo) {
+	st.strides = map[int32]int64{}
+	if d.Size == 0 || d.Size > denseRegionCap {
+		return
+	}
+	st.blockLo = d.Base / 32
+	st.lastTouch = make([]int64, (d.Base%32+d.Size+31)/32)
+	st.base = d.Base
+	st.succ = make([]uint32, d.Size)
+	st.succSet = make([]uint64, (d.Size+63)/64)
+}
+
+// touch records the current access to a 32-byte block and returns the
+// ordinal of the block's previous access, 0 on first touch.
+func (st *regionState) touch(block uint32) int64 {
+	if i := block - st.blockLo; i < uint32(len(st.lastTouch)) {
+		last := st.lastTouch[i]
+		st.lastTouch[i] = st.count
+		return last
+	}
+	if st.blocks == nil {
+		st.blocks = map[uint32]int64{}
+	}
+	last := st.blocks[block]
+	st.blocks[block] = st.count
+	return last
+}
+
+// follow records that to followed from and reports whether it also did
+// the previous time from was visited.
+func (st *regionState) follow(from, to uint32) bool {
+	if i := from - st.base; i < uint32(len(st.succ)) {
+		w, bit := i/64, uint64(1)<<(i%64)
+		same := st.succSet[w]&bit != 0 && st.succ[i] == to
+		st.succ[i] = to
+		st.succSet[w] |= bit
+		return same
+	}
+	if st.successor == nil {
+		st.successor = map[uint32]uint32{}
+	}
+	prev, ok := st.successor[from]
+	st.successor[from] = to
+	return ok && prev == to
+}
+
+// flushRun adds the pending run of equal deltas to the stride map.
+func (st *regionState) flushRun() {
+	if st.runLen > 0 {
+		st.strides[st.runDelta] += st.runLen
+		st.runLen = 0
+	}
+}
+
 // Analyze profiles the trace.
 func Analyze(t *trace.Trace) *Profile {
 	n := len(t.DS)
-	type state struct {
-		count, bytes, stores int64
-		blocks               map[uint32]int64 // block -> last access ordinal
-		strides              map[int32]int64
-		smallPos             int64
-		transitions          int64
-		consistent           int64
-		lastAddr             uint32
-		seen                 bool
-		successor            map[uint32]uint32
-		// gapHist[k] counts reuse gaps in [2^k, 2^(k+1)).
-		gapHist [33]int64
-		reuses  int64
-	}
-	states := make([]state, n)
-	for i := range states {
-		states[i].blocks = make(map[uint32]int64)
-		states[i].strides = make(map[int32]int64)
-		states[i].successor = make(map[uint32]uint32)
-	}
-
+	// The anonymous pseudo-structure (DS 0) is never reported, so it
+	// keeps no state.
+	states := make([]regionState, n)
 	for _, a := range t.Accesses {
-		if int(a.DS) >= n {
+		if a.DS == trace.Anonymous || int(a.DS) >= n {
 			continue
 		}
 		st := &states[a.DS]
+		if st.count == 0 {
+			st.init(t.DS[a.DS])
+		}
 		st.count++
 		st.bytes += int64(a.Size)
 		if a.Kind == trace.Store {
 			st.stores++
 		}
-		block := a.Addr / 32
-		if last, ok := st.blocks[block]; ok {
-			gap := st.count - last
-			st.gapHist[log2u64(uint64(gap))]++
+		if last := st.touch(a.Addr / 32); last != 0 {
+			st.gapHist[log2u64(uint64(st.count-last))]++
 			st.reuses++
+		} else {
+			st.footprint++
 		}
-		st.blocks[block] = st.count
-		if st.seen {
+		if st.count > 1 {
 			delta := int32(a.Addr) - int32(st.lastAddr)
 			if delta != 0 {
-				st.strides[delta]++
+				if delta != st.runDelta {
+					st.flushRun()
+					st.runDelta = delta
+				}
+				st.runLen++
 			}
 			if delta > 0 && delta <= 16 {
 				st.smallPos++
 			}
 			st.transitions++
-			if prev, ok := st.successor[st.lastAddr]; ok && prev == a.Addr {
+			if st.follow(st.lastAddr, a.Addr) {
 				st.consistent++
 			}
-			st.successor[st.lastAddr] = a.Addr
 		}
 		st.lastAddr = a.Addr
-		st.seen = true
 	}
+	tallies := make([]tally, n)
+	for i := range states {
+		states[i].flushRun()
+		tallies[i] = states[i].tally
+	}
+	return summarize(t, tallies)
+}
 
+// summarize turns the per-structure tallies (indexed by DS id) into the
+// profile: one Stats per accessed structure, skipping the anonymous
+// pseudo-structure, most active first.
+func summarize(t *trace.Trace, tallies []tally) *Profile {
 	p := &Profile{Trace: t, Total: int64(len(t.Accesses))}
-	for i := 1; i < n; i++ { // skip the anonymous pseudo-structure
-		st := &states[i]
+	for i := 1; i < len(tallies); i++ { // skip the anonymous pseudo-structure
+		st := &tallies[i]
 		if st.count == 0 {
 			continue
 		}
@@ -209,7 +305,7 @@ func Analyze(t *trace.Trace) *Profile {
 			Name:           t.DS[i].Name,
 			Count:          st.count,
 			Bytes:          st.bytes,
-			FootprintBytes: int64(len(st.blocks)) * 32,
+			FootprintBytes: st.footprint * 32,
 			RegionBytes:    int64(t.DS[i].Size),
 		}
 		if st.count > 0 {
@@ -254,19 +350,14 @@ func Analyze(t *trace.Trace) *Profile {
 	return p
 }
 
+// log2u64 returns floor(log2(v)) for v >= 1, capped at 32.
+func log2u64(v uint64) int {
+	return max(0, min(bits.Len64(v)-1, 32))
+}
+
 // classify orders the checks by module preference: streams first, then
 // hot small structures (an SRAM always beats a prefetcher when the whole
 // structure fits on chip), then consistent chains, then random.
-// log2u64 returns floor(log2(v)) for v >= 1, capped at 32.
-func log2u64(v uint64) int {
-	n := 0
-	for v > 1 && n < 32 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
 func classify(s *Stats) Class {
 	switch {
 	case s.StreamFrac >= streamThreshold:

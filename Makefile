@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench bench-compare cache-check daemon-check search-check serve-smoke check
+.PHONY: build test race vet fmt-check bench bench-compare cache-check daemon-check search-check replay-check serve-smoke check
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,17 @@ search-check:
 	$(GO) test -race -run 'FuzzExploreRequestJSON|TestExplorerDoHeuristicStrategy|TestExplorerMemOnlyMemo' .
 	$(GO) test -race -run 'TestDaemonHeuristicJob' ./cmd/memorexd/
 
+# replay-check holds the fast timing paths to their oracles: the
+# batched replayer against the reference replay and the one-phase
+# simulator (the differential tests plus their seed corpus), and the
+# reservation-table scheduler against its frozen reference. Each fuzz
+# target then runs for 10 seconds.
+replay-check:
+	$(GO) test -race -run 'TestReplayBatch|TestReplayExactOnFullTrace|FuzzReplayBatchMatchesSimulator' ./internal/sim/
+	$(GO) test -race -run 'TestScheduler|FuzzSchedulerMatchesReference' ./internal/rtable/
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayBatchMatchesSimulator$$' -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerMatchesReference$$' -fuzztime 10s ./internal/rtable/
+
 # serve-smoke boots a real memorexd process, submits a tiny job through
 # memorexctl, asserts a completed report comes back, and checks the
 # daemon drains cleanly on SIGTERM.
@@ -82,10 +93,11 @@ serve-smoke:
 	sh scripts/serve-smoke.sh
 
 # check is the gate a change must pass before review: formatting is
-# clean, vet finds nothing, the trace-cache, daemon and heuristic-search
-# suites hold, and every test of this module passes under the race
-# detector. Fuzz targets run their seed corpus only, benchmarks do not
+# clean, vet finds nothing, the trace-cache, daemon, heuristic-search
+# and replay suites hold, and every test of this module passes under
+# the race detector. Only replay-check fuzzes (10 s per target);
+# the other fuzz targets run their seed corpus only, benchmarks do not
 # run, and perfbench/ is a module of its own that this gate does not
 # test.
-check: fmt-check vet cache-check daemon-check search-check
+check: fmt-check vet cache-check daemon-check search-check replay-check
 	$(GO) test -race ./...

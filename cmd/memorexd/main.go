@@ -124,7 +124,7 @@ func run() int {
 		log.Print(err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: srv.routes()}
+	httpSrv := newHTTPServer(srv.routes())
 	log.Printf("serving the job API on http://%s%s (queue %d, max-running %d)",
 		ln.Addr(), jobapi.PathJobs, *queueCap, *maxRunning)
 
@@ -156,4 +156,24 @@ func run() int {
 	}
 	log.Print("drained cleanly")
 	return 0
+}
+
+// Connection timeouts of the job API. A client gets readHeaderTimeout
+// to send its request headers, which bounds what a slow (slowloris)
+// client can hold, and a keep-alive connection is closed after
+// idleTimeout without a request. There is deliberately no write
+// timeout: a job's event stream stays open for as long as the job
+// runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's HTTP server for handler h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"sync"
@@ -354,15 +355,26 @@ func (s *server) runJob(jb *job) {
 	if !s.startJob(jb) {
 		return // cancelled while queued
 	}
-	var rep *memorex.Report
-	var err error
-	if s.testGate != nil {
-		err = s.testGate(jb)
-	}
-	if err == nil {
-		rep, err = s.cfg.Explorer.Do(jb.ctx, jb.req)
-	}
+	rep, err := s.explore(jb)
 	s.finishJob(jb, rep, err)
+}
+
+// explore runs one job's exploration. A panic fails that job with the
+// panic value instead of killing the runner goroutine (and with it the
+// daemon): the runner goes on to the next queued job.
+func (s *server) explore(jb *job) (rep *memorex.Report, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			log.Printf("job %s panicked: %v\n%s", jb.id, v, debug.Stack())
+			rep, err = nil, fmt.Errorf("job panicked: %v", v)
+		}
+	}()
+	if s.testGate != nil {
+		if err := s.testGate(jb); err != nil {
+			return nil, err
+		}
+	}
+	return s.cfg.Explorer.Do(jb.ctx, jb.req)
 }
 
 // startJob transitions queued -> running, unless the job was cancelled

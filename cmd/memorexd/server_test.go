@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -603,5 +604,55 @@ func TestDaemonJobRetentionJanitor(t *testing.T) {
 			t.Fatal("janitor never evicted the finished job")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestDaemonSurvivesPanickingJob: a job that panics is marked failed
+// with the panic value, and the same runner goes on to serve the next
+// job to completion.
+func TestDaemonSurvivesPanickingJob(t *testing.T) {
+	var calls int
+	var mu sync.Mutex
+	panicFirst := func(jb *job) error {
+		mu.Lock()
+		calls++
+		n := calls
+		mu.Unlock()
+		if n == 1 {
+			panic("boom in job " + jb.id)
+		}
+		return nil
+	}
+	_, c := newTestDaemon(t, serverConfig{MaxRunning: 1, QueueCap: 4, TestGate: panicFirst})
+	req := memorex.ExploreRequest{Benchmark: "vocoder"}
+
+	bad := submitWait(t, c, req)
+	if bad.State != jobapi.StateFailed {
+		t.Fatalf("panicking job state = %s, want failed", bad.State)
+	}
+	if !strings.Contains(bad.Error, "panicked") || !strings.Contains(bad.Error, "boom in job "+bad.ID) {
+		t.Errorf("panicking job error = %q, want the panic value", bad.Error)
+	}
+	reportOf(t, submitWait(t, c, req))
+
+	h, err := c.Health(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Status != "ok" {
+		t.Errorf("health after a panicking job = %q, want ok", h.Status)
+	}
+}
+
+// TestHTTPServerTimeouts: the daemon's server bounds header reads and
+// idle keep-alives but never a response write, which would cut
+// long-lived job event streams.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %s, IdleTimeout = %s; want both set", hs.ReadHeaderTimeout, hs.IdleTimeout)
+	}
+	if hs.WriteTimeout != 0 || hs.ReadTimeout != 0 {
+		t.Errorf("WriteTimeout = %s, ReadTimeout = %s; want none", hs.WriteTimeout, hs.ReadTimeout)
 	}
 }

@@ -163,12 +163,21 @@ func (t *Table) Stages() []Stage {
 // over absolute time and answers earliest-issue queries. It maintains a
 // sliding bitmap window per resource; reservations may not be placed
 // more than windowCycles in the past once time has advanced.
+//
+// A request is answered in two steps: Grant finds its issue cycle and
+// Reserve books it. A caller that knows no later request can ever ask
+// at or before a reservation's last cycle — the batch replayer's
+// blocking CPU, whose demand transfers end before it asks again — may
+// grant without reserving; such a reservation could never be seen.
 type Scheduler struct {
 	res    int
 	base   int64 // absolute cycle of bit 0
 	words  int   // window size in 64-bit words per resource
 	window [][]uint64
-	stats  Stats
+	// horizon is one past the last cycle ever reserved: every
+	// resource is free from there on.
+	horizon int64
+	stats   Stats
 }
 
 // Stats counts the scheduling activity of one Scheduler. The counters
@@ -176,7 +185,8 @@ type Scheduler struct {
 // owned by one simulation goroutine) and are read after the run, when
 // the engine folds them into the exploration's metrics registry.
 type Stats struct {
-	// Issues counts EarliestIssue calls (one per transfer scheduled).
+	// Issues counts granted requests (one per transfer scheduled,
+	// whether or not it was reserved).
 	Issues int64
 	// Conflicts counts busy-run collisions skipped while searching for
 	// an issue slot; Conflicts/Issues measures bus contention.
@@ -193,6 +203,17 @@ func NewScheduler(resources int) *Scheduler {
 		s.window[i] = make([]uint64, s.words)
 	}
 	return s
+}
+
+// Idle reports whether a request asking at cycle at, with stages of
+// makespan end, would be granted at at by a Grant that neither searches
+// nor slides the window: at is at or after the horizon and the request
+// fits the current window. A caller that would not Reserve such a
+// grant may skip the Grant call and count the issue itself; apart
+// from that count, the scheduler is then in exactly the state the
+// Grant would have left.
+func (s *Scheduler) Idle(at int64, end int) bool {
+	return at >= s.horizon && at+int64(end) < s.base+int64((s.words-1)*64)
 }
 
 // advance slides the window so that absolute cycle t is representable.
@@ -314,24 +335,65 @@ func (s *Scheduler) markRange(res int, t int64, n int) {
 	}
 }
 
-// EarliestIssue returns the first cycle >= at where stages can be
-// reserved without conflicting with prior reservations, and reserves
-// them. Stages must reference resources < the scheduler's count.
-func (s *Scheduler) EarliestIssue(at int64, stages []Stage) int64 {
-	if at < 0 {
-		at = 0
+// Makespan returns the cycles from issue to the end of the last stage.
+func Makespan(stages []Stage) int {
+	end := 0
+	for _, st := range stages {
+		if e := st.Start + st.Len; e > end {
+			end = e
+		}
 	}
-	maxEnd := 0
+	return end
+}
+
+// makespan is Makespan for stages that must reference resources < the
+// scheduler's count; it panics on any other.
+func (s *Scheduler) makespan(stages []Stage) int {
+	end := 0
 	for _, st := range stages {
 		if st.Res < 0 || st.Res >= s.res {
 			panic(fmt.Sprintf("rtable: stage resource %d out of range (have %d)", st.Res, s.res))
 		}
-		if end := st.Start + st.Len; end > maxEnd {
-			maxEnd = end
+		if e := st.Start + st.Len; e > end {
+			end = e
 		}
+	}
+	return end
+}
+
+// Grant returns the first cycle >= at where stages can be reserved
+// without conflicting with prior reservations, without reserving them.
+// Stages must reference resources < the scheduler's count.
+func (s *Scheduler) Grant(at int64, stages []Stage) int64 {
+	return s.grant(at, stages, s.makespan(stages))
+}
+
+// Reserve books stages at issue cycle t, normally a cycle Grant
+// returned for them.
+func (s *Scheduler) Reserve(t int64, stages []Stage) {
+	s.reserve(t, stages, s.makespan(stages))
+}
+
+// EarliestIssue returns the first cycle >= at where stages can be
+// reserved without conflicting with prior reservations, and reserves
+// them: Grant followed by Reserve.
+func (s *Scheduler) EarliestIssue(at int64, stages []Stage) int64 {
+	maxEnd := s.makespan(stages)
+	t := s.grant(at, stages, maxEnd)
+	s.reserve(t, stages, maxEnd)
+	return t
+}
+
+// grant is Grant for stages of makespan maxEnd.
+func (s *Scheduler) grant(at int64, stages []Stage, maxEnd int) int64 {
+	if at < 0 {
+		at = 0
 	}
 	s.advance(at + int64(maxEnd))
 	s.stats.Issues++
+	if at >= s.horizon {
+		return at // nothing is reserved at or after the horizon
+	}
 	t := at
 search:
 	for {
@@ -353,10 +415,18 @@ search:
 		}
 		break
 	}
+	return t
+}
+
+// reserve is Reserve for stages of makespan maxEnd.
+func (s *Scheduler) reserve(t int64, stages []Stage, maxEnd int) {
+	s.advance(t + int64(maxEnd))
 	for _, st := range stages {
 		s.markRange(st.Res, t+int64(st.Start), st.Len)
 	}
-	return t
+	if end := t + int64(maxEnd); end > s.horizon {
+		s.horizon = end
+	}
 }
 
 // Stats returns the scheduler's activity counters.

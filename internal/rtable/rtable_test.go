@@ -1,6 +1,8 @@
 package rtable
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -188,6 +190,35 @@ func TestSchedulerWindowAdvance(t *testing.T) {
 	}
 }
 
+// TestSchedulerHorizonAndIdle: the horizon is one past the last
+// reserved cycle, Grant does not move it, and Idle holds exactly for a
+// request at or after it whose Grant would leave the window where it
+// is — so skipping that Grant leaves the scheduler as Grant would.
+func TestSchedulerHorizonAndIdle(t *testing.T) {
+	s := NewScheduler(1)
+	stages := []Stage{{Res: 0, Start: 0, Len: 4}}
+	if got := s.EarliestIssue(10, stages); got != 10 || s.horizon != 14 {
+		t.Fatalf("EarliestIssue = %d, horizon %d; want 10, 14", got, s.horizon)
+	}
+	if got := s.Grant(12, stages); got != 14 || s.horizon != 14 {
+		t.Fatalf("Grant(12) = %d, horizon %d; want 14 and no reservation", got, s.horizon)
+	}
+	slide := s.base + int64((s.words-1)*64) // first end that slides the window
+	for _, c := range []struct {
+		at   int64
+		want bool
+	}{{13, false}, {14, true}, {slide - 5, true}, {slide - 4, false}} {
+		if got := s.Idle(c.at, 4); got != c.want {
+			t.Errorf("Idle(%d, 4) = %v, want %v", c.at, got, c.want)
+		}
+		base, before := s.base, s.stats
+		g := s.Grant(c.at, stages)
+		if c.want && (g != c.at || s.base != base || s.stats != (Stats{Issues: before.Issues + 1, Conflicts: before.Conflicts})) {
+			t.Errorf("Grant(%d) after Idle = %d, base %d -> %d, stats %+v", c.at, g, base, s.base, s.stats)
+		}
+	}
+}
+
 func TestSchedulerPanicsOnBadResource(t *testing.T) {
 	s := NewScheduler(1)
 	defer func() {
@@ -260,4 +291,222 @@ func TestQuickSchedulerNoOverlap(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// benchRequest is one request of benchStream: ask gap cycles after the
+// requester's clock; a demand request then holds the requester until
+// its reservation ends.
+type benchRequest struct {
+	gap    int64
+	demand bool
+	stages []Stage
+}
+
+// benchStream is a request sequence shaped like one replayed off-chip
+// bus shared by a cache and two prefetchers: blocking demand line
+// fills of an off32-like non-split bus held through the DRAM dead time
+// (arbiter and data path together), each followed by background
+// prefetch fills asked at the fill's completion.
+func benchStream(n int) []benchRequest {
+	rng := rand.New(rand.NewSource(1))
+	dead := func(l int) []Stage { return []Stage{{Res: 0, Start: 0, Len: l}, {Res: 1, Start: 0, Len: l}} }
+	out := make([]benchRequest, 0, n)
+	for len(out) < n {
+		dram := 6 + 14*rng.Intn(2) // row hit or miss
+		out = append(out, benchRequest{gap: int64(1 + rng.Intn(12)), demand: true, stages: dead(2 + dram + 8)})
+		for p := rng.Intn(3); p > 0 && len(out) < n; p-- {
+			out = append(out, benchRequest{stages: dead(2 + 6 + 8)})
+		}
+	}
+	return out
+}
+
+// BenchmarkEarliestIssue times the scheduler on benchStream and
+// reports the cost per scheduled request.
+func BenchmarkEarliestIssue(b *testing.B) {
+	reqs := benchStream(1 << 14)
+	for i := 0; i < b.N; i++ {
+		s := NewScheduler(2)
+		var now int64
+		for _, r := range reqs {
+			g := s.EarliestIssue(now+r.gap, r.stages)
+			if r.demand {
+				now = g + int64(r.stages[0].Len)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(len(reqs))), "ns/issue")
+}
+
+// ReferenceScheduler is the scheduler as it was before Grant, Reserve
+// and the horizon fast path: a single EarliestIssue that always
+// searches the bitmap and reserves. It is frozen here, exported only
+// to this package's tests, as the oracle FuzzSchedulerMatchesReference
+// holds the production Scheduler to. The replay paths' own oracle, the
+// one-phase simulator, shares the production Scheduler, so this is the
+// only check that would catch a bug hitting both at once.
+type ReferenceScheduler struct {
+	res    int
+	base   int64
+	words  int
+	window [][]uint64
+	stats  Stats
+}
+
+// NewReferenceScheduler returns a reference scheduler over the given
+// number of resources.
+func NewReferenceScheduler(resources int) *ReferenceScheduler {
+	s := &ReferenceScheduler{res: resources, words: defaultWindowWords}
+	s.window = make([][]uint64, resources)
+	for i := range s.window {
+		s.window[i] = make([]uint64, s.words)
+	}
+	return s
+}
+
+// Stats returns the reference scheduler's activity counters.
+func (s *ReferenceScheduler) Stats() Stats { return s.stats }
+
+func (s *ReferenceScheduler) advance(t int64) {
+	if t < s.base+int64((s.words-1)*64) {
+		return
+	}
+	newBase := t - int64(s.words*16)
+	if newBase < s.base {
+		newBase = s.base
+	}
+	shiftWords := int((newBase - s.base + 63) / 64)
+	if shiftWords <= 0 {
+		return
+	}
+	if shiftWords >= s.words {
+		for r := range s.window {
+			for w := range s.window[r] {
+				s.window[r][w] = 0
+			}
+		}
+		s.base += int64(shiftWords * 64)
+		return
+	}
+	for r := range s.window {
+		copy(s.window[r], s.window[r][shiftWords:])
+		for w := s.words - shiftWords; w < s.words; w++ {
+			s.window[r][w] = 0
+		}
+	}
+	s.base += int64(shiftWords * 64)
+}
+
+func (s *ReferenceScheduler) firstBusy(res int, t int64, n int) int64 {
+	if n <= 0 {
+		return -1
+	}
+	if t < s.base {
+		skip := s.base - t
+		if skip >= int64(n) {
+			return -1
+		}
+		t = s.base
+		n -= int(skip)
+	}
+	off := t - s.base
+	w := int(off >> 6)
+	bit := uint(off & 63)
+	row := s.window[res]
+	for n > 0 && w < s.words {
+		take := 64 - int(bit)
+		if take > n {
+			take = n
+		}
+		if hit := row[w] & maskFrom(bit, take); hit != 0 {
+			return s.base + int64(w)<<6 + int64(bits.TrailingZeros64(hit))
+		}
+		n -= take
+		w++
+		bit = 0
+	}
+	return -1
+}
+
+func (s *ReferenceScheduler) busyRunEnd(res int, c int64) int64 {
+	off := c - s.base
+	w := int(off >> 6)
+	bit := uint(off & 63)
+	row := s.window[res]
+	for w < s.words {
+		if free := ^row[w] >> bit << bit; free != 0 {
+			return s.base + int64(w)<<6 + int64(bits.TrailingZeros64(free)) - 1
+		}
+		w++
+		bit = 0
+	}
+	return s.base + int64(s.words)<<6 - 1
+}
+
+func (s *ReferenceScheduler) markRange(res int, t int64, n int) {
+	if t < s.base {
+		skip := s.base - t
+		if skip >= int64(n) {
+			return
+		}
+		t = s.base
+		n -= int(skip)
+	}
+	off := t - s.base
+	w := int(off >> 6)
+	bit := uint(off & 63)
+	row := s.window[res]
+	for n > 0 && w < s.words {
+		take := 64 - int(bit)
+		if take > n {
+			take = n
+		}
+		row[w] |= maskFrom(bit, take)
+		n -= take
+		w++
+		bit = 0
+	}
+}
+
+// EarliestIssue returns the first cycle >= at where stages can be
+// reserved without conflicting with prior reservations, and reserves
+// them.
+func (s *ReferenceScheduler) EarliestIssue(at int64, stages []Stage) int64 {
+	if at < 0 {
+		at = 0
+	}
+	maxEnd := 0
+	for _, st := range stages {
+		if st.Res < 0 || st.Res >= s.res {
+			panic(fmt.Sprintf("rtable: stage resource %d out of range (have %d)", st.Res, s.res))
+		}
+		if end := st.Start + st.Len; end > maxEnd {
+			maxEnd = end
+		}
+	}
+	s.advance(at + int64(maxEnd))
+	s.stats.Issues++
+	t := at
+search:
+	for {
+		for _, st := range stages {
+			c := s.firstBusy(st.Res, t+int64(st.Start), st.Len)
+			if c < 0 {
+				continue
+			}
+			s.stats.Conflicts++
+			next := s.busyRunEnd(st.Res, c) - int64(st.Start) + 1
+			if next <= t {
+				next = t + 1
+			}
+			t = next
+			s.advance(t + int64(maxEnd))
+			continue search
+		}
+		break
+	}
+	for _, st := range stages {
+		s.markRange(st.Res, t+int64(st.Start), st.Len)
+	}
+	return t
 }

@@ -9,37 +9,60 @@
 // hundreds of connectivity mappings per memory architecture — walking
 // the trace once per candidate re-decodes identical event streams K
 // times.
-// ReplayBatch decodes each event exactly once and applies it to every
-// architecture in an inner loop over dense struct-of-arrays state:
-// per-(arch,channel) component, cycle and energy tables live in flat
-// arrays indexed a*numChannels+ch, per-(arch,module) prefetch state in
-// flat arrays indexed a*numModules+m.
+// ReplayBatch decodes each event exactly once into an op record and
+// applies it to every architecture in an inner loop over dense
+// struct-of-arrays state: per-(arch,channel) component, cycle and
+// energy tables live in flat arrays indexed a*numChannels+ch,
+// per-(arch,module) prefetch state in flat arrays indexed
+// a*numModules+m.
 //
 // Two structural facts make the batch pass much cheaper than K
-// reference replays while staying bit-exact:
+// reference replays while staying bit-exact.
 //
-//   - Contention analysis. The replayed CPU is blocking (one
-//     outstanding access; the clock advances past every demand leg
-//     before the next event), so the only reservations that can overlap
-//     a later, earlier-timed query are the background prefetch legs.
-//     A cluster that never receives prefetch traffic therefore grants
-//     every request at its asking cycle with zero conflicts: the
-//     reservation-table scheduler is provably a no-op there, and the
-//     batch replayer skips it (counting the issue) instead of searching
-//     and marking bitmaps. Real schedulers are built only for clusters
-//     that back a prefetching module (or the L2<->DRAM cluster of a
-//     prefetching system, which prefetch misses forward to).
+// Contention analysis. The replayed CPU is blocking: it has one
+// outstanding access, and every later request — the next leg of the
+// same access, its background prefetch, the next access — asks at or
+// after the cycle the current demand leg completes. A demand leg's
+// reservation ends by then, and a scheduler search only looks at
+// cycles from the asking one on, so demand reservations are invisible
+// to every later request. Only background prefetch legs, which run
+// ahead of the CPU, can collide with a later request. Hence:
 //
-//   - Shared timing tables. Transfer-cycle, transfer-energy and
-//     reservation-stage tables depend only on a component's timing
-//     parameters, not on which architecture uses it, so architectures
-//     assigning the same library component share one set of dense
-//     tables for the whole batch instead of rebuilding ~(MaxBytes ×
-//     MaxDRAMLat) stage lists per replay.
+//   - A cluster that never carries prefetch traffic grants every
+//     request at its asking cycle with zero conflicts. The batch
+//     replayer builds no scheduler for it and only counts the issues.
+//     Real schedulers exist only for clusters that back a prefetching
+//     module (or the L2<->DRAM cluster of a prefetching system, which
+//     prefetch misses forward to).
+//   - On such a scheduler a demand leg is granted (Scheduler.Grant)
+//     but not reserved; a prefetch leg is granted and reserved
+//     (EarliestIssue). The one timing whose reservation outlasts its
+//     leg — a zero-beat, zero-arbitration, non-pipelined bus that
+//     moves data in no cycles but holds its arbiter for one — is
+//     caught by a run-time check and reserved.
+//   - The horizon. A scheduler tracks one past its last reserved
+//     cycle; with demand legs unreserved, that is where the last
+//     prefetch ends. A request at or after it is granted at once, with
+//     no bitmap search. A demand leg that would be granted so without
+//     sliding the window (Scheduler.Idle) does not call the scheduler
+//     at all; the replayer counts its issue, so SchedIssues stays
+//     exact.
+//
+// Shared timing tables. Transfer-cycle, transfer-energy and
+// reservation-stage tables depend only on a component's timing
+// parameters, not on which architecture uses it, so architectures
+// assigning the same library component share one set of dense tables
+// for the whole batch instead of rebuilding ~(MaxBytes × MaxDRAMLat)
+// stage lists per replay.
 //
 // Events that reduce to a pure on-chip hit (no stall, no backing
 // traffic, non-prefetching module) are classified once per batch and
 // handled by a short fast path on uncontended architectures.
+//
+// The reference Replay and the one-phase Simulator reserve every leg
+// through EarliestIssue; they are the oracles the differential tests
+// (TestReplayBatchMatchesReplay, FuzzReplayBatchMatchesSimulator) hold
+// this path to.
 //
 // Energy is accumulated with exactly the same sequence of float64
 // additions as Replay — shared tables hold the very values
@@ -310,11 +333,69 @@ func (b *batchReplayer) deadStages(x, n, dead int) []rtable.Stage {
 	return st
 }
 
+// op is one access event decoded once for the whole batch: everything
+// the per-architecture step reads from the event arrays and the module
+// metadata.
+type op struct {
+	route     int16 // module index, or -1 for a direct DRAM access
+	kind      mem.Kind
+	hit       bool
+	size      int
+	cpuCh     int32
+	backCh    int32
+	stall     int64 // recorded module stall (non-prefetching kinds only)
+	modLat    int64
+	modEnergy float64
+	topup     int // stream buffer lines topped up by the event
+	dem, pref leg // demand and background prefetch backing traffic
+}
+
+// leg is one backing transaction of an event; n == 0 means none.
+type leg struct {
+	n, l2off, dram int
+}
+
+// decode fills o from event i, reading each event column only when
+// the event uses it.
+func (b *batchReplayer) decode(i int, o *op) {
+	bt := b.bt
+	route := bt.Route[i]
+	o.route = route
+	o.size = int(bt.Size[i])
+	if route < 0 {
+		o.dem.dram = int(bt.DemandDRAM[i])
+		return
+	}
+	meta := &bt.Modules[route]
+	o.kind = meta.Kind
+	o.hit = bt.Flags[i]&flagHit != 0
+	o.cpuCh = b.cpuChan[route]
+	o.backCh = b.backChan[route]
+	o.modLat = int64(meta.Latency)
+	o.modEnergy = meta.Energy
+	if o.kind != mem.KindStream && o.kind != mem.KindDMA {
+		o.stall = int64(bt.Stall[i])
+	}
+	o.dem = leg{n: int(bt.DemandBytes[i])}
+	if o.dem.n > 0 {
+		o.dem.l2off, o.dem.dram = int(bt.DemandL2Off[i]), int(bt.DemandDRAM[i])
+	}
+	o.pref = leg{n: int(bt.PrefBytes[i])}
+	o.topup = 0
+	if o.pref.n > 0 {
+		o.pref.l2off, o.pref.dram = int(bt.PrefL2Off[i]), int(bt.PrefDRAM[i])
+		if meta.LineBytes > 0 {
+			o.topup = o.pref.n / meta.LineBytes
+		}
+	}
+}
+
 // run replays every window of the behavior trace for every arch.
 func (b *batchReplayer) run() {
 	bt := b.bt
 	nmods := b.nm
 	pos := 0
+	var o op
 	for wi, wlen := range bt.WindowLen {
 		if bt.GapCycles[wi] > 0 {
 			rs := bt.Resync[wi*nmods*2 : (wi+1)*nmods*2]
@@ -331,16 +412,21 @@ func (b *batchReplayer) run() {
 				ch := b.cpuChan[route]
 				modLat := int64(bt.Modules[route].Latency)
 				modEnergy := bt.Modules[route].Energy
+				decoded := false
 				for a := 0; a < b.k; a++ {
 					x := a*b.nc + int(ch)
 					if b.cont[x] {
-						b.slowEvent(a, i)
+						if !decoded {
+							b.decode(i, &o)
+							decoded = true
+						}
+						b.step(a, &o)
 						continue
 					}
 					// Pure on-chip hit on an uncontended cluster: the
 					// grant is the asking cycle, so the whole event
 					// reduces to table lookups. The two energy adds
-					// stay separate and ordered to match event().
+					// stay separate and ordered to match step().
 					ct := b.tabs[x]
 					lat := int64(ct.cyc[size]) + modLat
 					r := &b.res[a]
@@ -357,8 +443,9 @@ func (b *batchReplayer) run() {
 					b.now[a] += lat + 1
 				}
 			} else {
+				b.decode(i, &o)
 				for a := 0; a < b.k; a++ {
-					b.slowEvent(a, i)
+					b.step(a, &o)
 				}
 			}
 		}
@@ -369,18 +456,6 @@ func (b *batchReplayer) run() {
 		b.res[a].SchedIssues = issues + b.fastIssues[a]
 		b.res[a].SchedConflicts = conflicts
 	}
-}
-
-// slowEvent is the full per-event path, with the same accounting as the
-// reference replayer's run loop.
-func (b *batchReplayer) slowEvent(a, i int) {
-	lat := b.event(a, i)
-	r := &b.res[a]
-	r.Accesses++
-	r.TotalLatency += int64(lat)
-	r.LatencyHist[latBucket(lat)]++
-	r.Cycles += int64(lat) + 1
-	b.now[a] += int64(lat) + 1
 }
 
 // applyResync mirrors (*replayer).applyResync for arch a.
@@ -435,100 +510,114 @@ func (b *batchReplayer) applyResync(a int, resync []int32, gapStart int64) {
 	}
 }
 
-// event replays one access event for arch a, mirroring
-// (*replayer).event step for step.
-func (b *batchReplayer) event(a, i int) int {
-	bt := b.bt
-	route := bt.Route[i]
-	size := int(bt.Size[i])
+// step replays the decoded event o for arch a and advances its clock,
+// mirroring (*replayer).event and the accounting of its run loop step
+// for step.
+func (b *batchReplayer) step(a int, o *op) {
 	now := b.now[a]
 	r := &b.res[a]
-	if route < 0 {
-		done, energy := b.offChip(a, b.directChan, size, int(bt.DemandDRAM[i]), now)
+	var t int64
+	if o.route < 0 {
+		done, energy := b.offChip(a, b.directChan, o.size, o.dem.dram, now, true)
 		r.Misses++
 		r.EnergyNJ += energy
-		r.OffChipBytes += int64(size)
-		r.ChannelBytes[b.directChan] += int64(size)
-		return int(done - now)
-	}
-
-	// 1. CPU <-> module link.
-	cpuCh := b.cpuChan[route]
-	x := a*b.nc + int(cpuCh)
-	grant := now
-	if b.cont[x] {
-		grant = b.scheds[x].EarliestIssue(now, b.plainStages(x, size))
+		r.OffChipBytes += int64(o.size)
+		r.ChannelBytes[b.directChan] += int64(o.size)
+		t = done
 	} else {
-		b.fastIssues[a]++
-	}
-	ct := b.tabs[x]
-	t := grant + int64(ct.cyc[size])
-	r.EnergyNJ += ct.en[size]
-	r.ChannelBytes[cpuCh] += int64(size)
-	r.ChannelWait[cpuCh] += grant - now
-	r.ChannelTransfers[cpuCh]++
+		// 1. CPU <-> module link.
+		x := a*b.nc + int(o.cpuCh)
+		ct := b.tabs[x]
+		grant := now
+		if b.cont[x] {
+			grant = b.grant(a, x, now, b.plainStages(x, o.size), int64(ct.cyc[o.size]), true)
+		} else {
+			b.fastIssues[a]++
+		}
+		t = grant + int64(ct.cyc[o.size])
+		r.EnergyNJ += ct.en[o.size]
+		r.ChannelBytes[o.cpuCh] += int64(o.size)
+		r.ChannelWait[o.cpuCh] += grant - now
+		r.ChannelTransfers[o.cpuCh]++
 
-	// 2. The module: behavior from the event, prefetch stalls recomputed
-	// in this architecture's clock.
-	meta := &bt.Modules[route]
-	hit := bt.Flags[i]&flagHit != 0
-	var stall int64
-	switch meta.Kind {
-	case mem.KindStream:
-		stall = b.streamStall(a, route, i, t, hit)
-	case mem.KindDMA:
-		stall = b.dmaStall(a, route, t, hit)
-	default:
-		stall = int64(bt.Stall[i])
-	}
-	t += int64(meta.Latency) + stall
-	r.EnergyNJ += meta.Energy
-	if hit {
-		r.Hits++
-	} else {
-		r.Misses++
-	}
+		// 2. The module: behavior from the event, prefetch stalls
+		// recomputed in this architecture's clock.
+		stall := o.stall
+		switch o.kind {
+		case mem.KindStream:
+			stall = b.streamStall(a, o, t)
+		case mem.KindDMA:
+			stall = b.dmaStall(a, o.route, t, o.hit)
+		}
+		t += o.modLat + stall
+		r.EnergyNJ += o.modEnergy
+		if o.hit {
+			r.Hits++
+		} else {
+			r.Misses++
+		}
 
-	// 3. Demand backing traffic.
-	if bt.DemandBytes[i] > 0 {
-		t = b.backing(a, b.backChan[route], int(bt.DemandBytes[i]), int(bt.DemandL2Off[i]), int(bt.DemandDRAM[i]), t)
-	}
+		// 3. Demand backing traffic.
+		if o.dem.n > 0 {
+			t = b.backing(a, o.backCh, o.dem, t, true)
+		}
 
-	// 4. Background prefetch traffic (does not hold up the CPU).
-	if bt.PrefBytes[i] > 0 {
-		if bc := b.backChan[route]; bc != -1 {
-			b.backing(a, bc, int(bt.PrefBytes[i]), int(bt.PrefL2Off[i]), int(bt.PrefDRAM[i]), t)
+		// 4. Background prefetch traffic (does not hold up the CPU).
+		if o.pref.n > 0 && o.backCh != -1 {
+			b.backing(a, o.backCh, o.pref, t, false)
 		}
 	}
-	return int(t - now)
+	lat := t - now
+	r.Accesses++
+	r.TotalLatency += lat
+	r.LatencyHist[latBucket(int(lat))]++
+	r.Cycles += lat + 1
+	b.now[a] = t + 1
+}
+
+// grant schedules one leg asked at cycle at on the contended slot x;
+// dur is the leg's length from grant to completion. A prefetch leg is
+// searched and reserved. A demand leg is only searched, since no later
+// request asks before it completes — unless its stages outlast dur,
+// when it is reserved too. A demand leg that Idle says would be
+// granted at once skips the scheduler and is counted here.
+func (b *batchReplayer) grant(a, x int, at int64, stages []rtable.Stage, dur int64, demand bool) int64 {
+	s := b.scheds[x]
+	if !demand {
+		return s.EarliestIssue(at, stages)
+	}
+	end := rtable.Makespan(stages)
+	if int64(end) > dur {
+		return s.EarliestIssue(at, stages)
+	}
+	if s.Idle(at, end) {
+		b.fastIssues[a]++
+		return at
+	}
+	return s.Grant(at, stages)
 }
 
 // streamStall mirrors (*replayer).streamStall for arch a.
-func (b *batchReplayer) streamStall(a int, route int16, i int, t int64, hit bool) int64 {
-	bt := b.bt
-	meta := &bt.Modules[route]
-	mi := a*b.nm + int(route)
+func (b *batchReplayer) streamStall(a int, o *op, t int64) int64 {
+	depth := b.bt.Modules[o.route].Depth
+	mi := a*b.nm + int(o.route)
 	f := b.fetch[mi]
 	q := b.streamQ[mi]
 	if q == nil {
-		q = make([]int64, 0, meta.Depth)
+		q = make([]int64, 0, depth)
 	}
-	topup := 0
-	if meta.LineBytes > 0 {
-		topup = int(bt.PrefBytes[i]) / meta.LineBytes
-	}
-	if !hit {
+	if !o.hit {
 		q = q[:0]
 		last := t
 		q = append(q, last)
-		for j := 0; j < topup && len(q) < meta.Depth; j++ {
+		for j := 0; j < o.topup && len(q) < depth; j++ {
 			last += f
 			q = append(q, last)
 		}
 		b.streamQ[mi] = q
 		return 0
 	}
-	k := topup
+	k := o.topup
 	if k >= len(q) {
 		k = len(q) - 1
 	}
@@ -547,7 +636,7 @@ func (b *batchReplayer) streamStall(a int, route int16, i int, t int64, hit bool
 	if len(q) > 0 && q[len(q)-1] > last {
 		last = q[len(q)-1]
 	}
-	for j := 0; j < topup && len(q) < meta.Depth; j++ {
+	for j := 0; j < o.topup && len(q) < depth; j++ {
 		last += f
 		q = append(q, last)
 	}
@@ -569,37 +658,38 @@ func (b *batchReplayer) dmaStall(a int, route int16, t int64, hit bool) int64 {
 	return 0
 }
 
-// backing mirrors (*replayer).backing for arch a.
-func (b *batchReplayer) backing(a int, backCh int32, n, l2off, dramLat int, at int64) int64 {
+// backing mirrors (*replayer).backing for arch a; demand marks the
+// legs the CPU waits for.
+func (b *batchReplayer) backing(a int, backCh int32, l leg, at int64, demand bool) int64 {
 	r := &b.res[a]
 	if !b.bt.HasL2 {
-		done, energy := b.offChip(a, backCh, n, dramLat, at)
+		done, energy := b.offChip(a, backCh, l.n, l.dram, at, demand)
 		r.EnergyNJ += energy
-		r.OffChipBytes += int64(n)
-		r.ChannelBytes[backCh] += int64(n)
+		r.OffChipBytes += int64(l.n)
+		r.ChannelBytes[backCh] += int64(l.n)
 		return done
 	}
 	x := a*b.nc + int(backCh)
+	ct := b.tabs[x]
 	grant := at
 	if b.cont[x] {
-		grant = b.scheds[x].EarliestIssue(at, b.plainStages(x, n))
+		grant = b.grant(a, x, at, b.plainStages(x, l.n), int64(ct.cyc[l.n]), demand)
 	} else {
 		b.fastIssues[a]++
 	}
-	ct := b.tabs[x]
 	r.ChannelWait[backCh] += grant - at
 	r.ChannelTransfers[backCh]++
-	r.ChannelBytes[backCh] += int64(n)
-	r.EnergyNJ += ct.en[n]
-	t := grant + int64(ct.cyc[n])
+	r.ChannelBytes[backCh] += int64(l.n)
+	r.EnergyNJ += ct.en[l.n]
+	t := grant + int64(ct.cyc[l.n])
 
 	t += int64(b.bt.L2Latency)
 	r.EnergyNJ += b.bt.L2Energy
-	if l2off > 0 && b.l2DRAMChan != -1 {
-		done, energy := b.offChip(a, b.l2DRAMChan, l2off, dramLat, t)
+	if l.l2off > 0 && b.l2DRAMChan != -1 {
+		done, energy := b.offChip(a, b.l2DRAMChan, l.l2off, l.dram, t, demand)
 		r.EnergyNJ += energy
-		r.OffChipBytes += int64(l2off)
-		r.ChannelBytes[b.l2DRAMChan] += int64(l2off)
+		r.OffChipBytes += int64(l.l2off)
+		r.ChannelBytes[b.l2DRAMChan] += int64(l.l2off)
 		t = done
 	}
 	return t
@@ -609,23 +699,21 @@ func (b *batchReplayer) backing(a int, backCh int32, n, l2off, dramLat int, at i
 // clusters every grant is the asking cycle (for split components both
 // the address and the data phase), so the scheduler and its stage
 // tables are skipped entirely.
-func (b *batchReplayer) offChip(a int, ch int32, n, dramLat int, at int64) (int64, float64) {
+func (b *batchReplayer) offChip(a int, ch int32, n, dramLat int, at int64, demand bool) (int64, float64) {
 	x := a*b.nc + int(ch)
-	comp := b.comps[x]
 	ct := b.tabs[x]
 	r := &b.res[a]
 	energy := ct.en[n] + b.bt.DRAMEnergy
 
 	r.ChannelTransfers[ch]++
-	if comp.Split {
+	if b.comps[x].Split {
 		if !b.cont[x] {
 			b.fastIssues[a] += 2
 			return at + int64(ct.cyc[4]) + int64(dramLat) + int64(ct.cyc[n]), energy
 		}
-		sched := b.scheds[x]
-		addrGrant := sched.EarliestIssue(at, b.plainStages(x, 4))
+		addrGrant := b.grant(a, x, at, b.plainStages(x, 4), int64(ct.cyc[4]), demand)
 		ready := addrGrant + int64(ct.cyc[4]) + int64(dramLat)
-		dataGrant := sched.EarliestIssue(ready, b.plainStages(x, n))
+		dataGrant := b.grant(a, x, ready, b.plainStages(x, n), int64(ct.cyc[n]), demand)
 		r.ChannelWait[ch] += (addrGrant - at) + (dataGrant - ready)
 		return dataGrant + int64(ct.cyc[n]), energy
 	}
@@ -633,8 +721,7 @@ func (b *batchReplayer) offChip(a int, ch int32, n, dramLat int, at int64) (int6
 		b.fastIssues[a]++
 		return at + int64(ct.cyc[n]) + int64(dramLat), energy
 	}
-	stages := b.deadStages(x, n, dramLat)
-	grant := b.scheds[x].EarliestIssue(at, stages)
+	grant := b.grant(a, x, at, b.deadStages(x, n, dramLat), int64(ct.cyc[n])+int64(dramLat), demand)
 	r.ChannelWait[ch] += grant - at
-	return grant + int64(comp.ArbCycles+dramLat+comp.Beats(n)*comp.BeatCycles), energy
+	return grant + int64(ct.cyc[n]) + int64(dramLat), energy
 }

@@ -162,3 +162,49 @@ func TestReplayBatchErrors(t *testing.T) {
 		t.Fatalf("mismatch error does not identify the member: %v", err)
 	}
 }
+
+// TestReplayBatchReservesOutlastingDemand pins the one case where a
+// demand leg's reservation outlasts the leg: a zero-beat,
+// zero-arbitration, non-pipelined bus moves data in zero cycles but
+// holds its arbiter for one. Library memory modules take at least a
+// cycle, which hides that extra cycle from the next request, so the
+// capture is re-timed with zero-latency modules: the module<->L2 demand
+// leg then asks on the very cycle the CPU link's arbiter is still held,
+// on the same shared bus. ReplayBatch must reserve such a demand leg
+// and match the reference replay bit for bit.
+func TestReplayBatchReservesOutlastingDemand(t *testing.T) {
+	m := richArch(true)
+	tr := workload.Compress{}.Generate(workload.DefaultConfig()).Slice(0, 20_000)
+	bt, err := CaptureBehavior(tr, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := *bt
+	zero.Modules = append([]ModuleMeta(nil), bt.Modules...)
+	for i := range zero.Modules {
+		zero.Modules[i].Latency = 0
+	}
+	zero.L2Latency = 0
+	conn := &connect.Arch{Channels: m.Channels()}
+	var on, off []int
+	for i, ch := range conn.Channels {
+		if ch.OffChip {
+			off = append(off, i)
+		} else {
+			on = append(on, i)
+		}
+	}
+	conn.Clusters = [][]int{on, off}
+	conn.Assign = []connect.Component{degenerateOn, degenerateOff}
+	if err := conn.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Replay(&zero, conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.SchedConflicts == 0 {
+		t.Fatal("no scheduler conflicts: the case does not reach an outlasting demand reservation")
+	}
+	assertBatchExact(t, "zero-latency", &zero, []*connect.Arch{conn, buildConnT(t, m, "ahb32", "off32")})
+}
